@@ -357,7 +357,9 @@ impl<'e> Env<'e> {
                 return None;
             }
         }
-        let map: Vec<TypeId> = lambda.into_iter().map(Option::unwrap).collect();
+        // A type unreachable from the root (an unreduced source) is never
+        // visited and keeps no image: there is no embedding to report.
+        let map = lambda.into_iter().collect::<Option<Vec<TypeId>>>()?;
         Some((TypeMapping { map }, paths))
     }
 
@@ -742,6 +744,17 @@ mod tests {
             .build()
             .unwrap();
         let att = SimilarityMatrix::permissive(&s1, &s2);
+        assert!(find_embedding(&s1, &s2, &att, &DiscoveryConfig::default()).is_none());
+    }
+
+    #[test]
+    fn unreachable_source_type_is_no_embedding_not_a_panic() {
+        // `z` is declared but unreachable from the root: no attempt ever
+        // assigns it an image.
+        let s1 =
+            Dtd::parse("<!ELEMENT r (a)> <!ELEMENT a (#PCDATA)> <!ELEMENT z (#PCDATA)>").unwrap();
+        let s2 = Dtd::parse("<!ELEMENT r (a)> <!ELEMENT a (#PCDATA)>").unwrap();
+        let att = SimilarityMatrix::by_name(&s1, &s2, 0.25);
         assert!(find_embedding(&s1, &s2, &att, &DiscoveryConfig::default()).is_none());
     }
 

@@ -3,7 +3,7 @@
 //! ```text
 //! xse-loadgen [--mix NAME] [--ops N] [--pairs N] [--seed N]
 //!             [--capacity N] [--workers N] [--shards N] [--cold]
-//!             [--addr HOST:PORT | --spawn-server | --in-process]
+//!             [--addr HOST:PORT | --spawn-server]
 //!             [--connections N] [--inflight K]
 //!             [--chaos] [--fault-seed N]
 //!             [--check] [--min-hit-rate X]
@@ -11,23 +11,24 @@
 //!
 //! * `--mix` — `translate-heavy` (default), `repeated-query`,
 //!   `apply-heavy`, `mixed`, or `cold-cache-adversarial`.
-//! * `--addr` targets a running server; `--spawn-server` starts one on an
-//!   ephemeral port and drives it over TCP; the default is in-process.
-//! * `--shards` — registry shard count for the spawned/in-process
-//!   registry (default 8).
-//! * `--cold` evicts (untimed) before every timed op.
-//! * `--connections N --inflight K` — contended mode: N concurrent
-//!   pipelined connections each keeping K requests in flight (`--ops` is
-//!   per connection). Pairs are prewarmed untimed, so the digests are
-//!   warm-path latency under contention. Requires a TCP endpoint
-//!   (`--spawn-server` or `--addr`); incompatible with `--chaos` and
-//!   `--cold`. A spawned server gets `max(--workers, N)` workers so every
-//!   connection is served concurrently.
-//! * `--chaos` (requires `--spawn-server`) interposes a [`FaultProxy`]
-//!   running [`FaultPlan::standard`]`(--fault-seed)` between a retrying
-//!   client and the server: frames are delayed, reset, truncated and
+//! * `--addr` targets a running server; otherwise (`--spawn-server`, the
+//!   default) one is started on an ephemeral port with
+//!   `max(--workers, --connections)` workers, so every connection is
+//!   served at once. Either way the replay runs over TCP.
+//! * `--shards` — registry shard count for the spawned registry
+//!   (default 8).
+//! * `--connections N --inflight K` — N concurrent connections, each
+//!   keeping K requests in flight and reading the answers back in request
+//!   order (`--ops` is per connection; default 1 × 1).
+//! * Pairs are compiled once, untimed, before the timed section, so the
+//!   digests are warm-path latency. `--cold` skips that and evicts
+//!   (untimed) before every timed op instead; it needs `--inflight 1`.
+//! * `--chaos` (spawned server only) interposes a [`FaultProxy`]
+//!   running [`FaultPlan::standard`]`(--fault-seed)` between retrying
+//!   clients and the server: frames are delayed, reset, truncated and
 //!   corrupted, and the summary reports shed/retry counts plus an error
 //!   taxonomy. The injected fault sequence is deterministic per seed.
+//!   Needs `--inflight 1`.
 //! * `--check` exits non-zero unless the replay had positive QPS, issued
 //!   ops, and — always — zero misinterpretations. Without `--chaos` it
 //!   also requires zero protocol errors (under chaos, transport failures
@@ -37,15 +38,15 @@
 //!
 //! The summary is printed to stdout as a single JSON line.
 
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
 use xse_service::fault::{FaultPlan, FaultProxy};
-use xse_service::loadgen::{self, ContendedConfig, Endpoint, LoadConfig};
+use xse_service::loadgen::{self, LoadConfig};
 use xse_service::{
-    Client, ClientConfig, EmbeddingRegistry, RegistryConfig, RetryPolicy, RetryingClient, Server,
-    ServerConfig,
+    ClientConfig, EmbeddingRegistry, RegistryConfig, RetryPolicy, Server, ServerConfig,
 };
 use xse_workloads::traffic::TrafficMix;
 
@@ -59,7 +60,6 @@ struct Args {
     shards: usize,
     cold: bool,
     addr: Option<String>,
-    spawn_server: bool,
     connections: usize,
     inflight: usize,
     chaos: bool,
@@ -79,7 +79,6 @@ fn parse_args() -> Result<Args, String> {
         shards: RegistryConfig::default().shards,
         cold: false,
         addr: None,
-        spawn_server: false,
         connections: 1,
         inflight: 1,
         chaos: false,
@@ -87,6 +86,7 @@ fn parse_args() -> Result<Args, String> {
         check: false,
         min_hit_rate: None,
     };
+    let mut spawn_server = false;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
@@ -104,10 +104,9 @@ fn parse_args() -> Result<Args, String> {
             "--shards" => args.shards = parse_num(&value("--shards")?)?,
             "--cold" => args.cold = true,
             "--addr" => args.addr = Some(value("--addr")?),
-            "--spawn-server" => args.spawn_server = true,
+            "--spawn-server" => spawn_server = true,
             "--connections" => args.connections = parse_num(&value("--connections")?)?,
             "--inflight" => args.inflight = parse_num(&value("--inflight")?)?,
-            "--in-process" => {}
             "--chaos" => args.chaos = true,
             "--fault-seed" => args.fault_seed = parse_num(&value("--fault-seed")?)? as u64,
             "--check" => args.check = true,
@@ -119,11 +118,11 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
-    if args.addr.is_some() && args.spawn_server {
+    if args.addr.is_some() && spawn_server {
         return Err("--addr and --spawn-server are mutually exclusive".into());
     }
-    if args.chaos && !args.spawn_server {
-        return Err("--chaos requires --spawn-server (the proxy needs an upstream)".into());
+    if args.chaos && args.addr.is_some() {
+        return Err("--chaos needs the spawned server (the proxy needs an upstream)".into());
     }
     if args.connections == 0 || args.inflight == 0 {
         return Err("--connections and --inflight must be at least 1".into());
@@ -131,17 +130,8 @@ fn parse_args() -> Result<Args, String> {
     if args.shards == 0 {
         return Err("--shards must be at least 1".into());
     }
-    let contended = args.connections > 1 || args.inflight > 1;
-    if contended && !args.spawn_server && args.addr.is_none() {
-        return Err(
-            "--connections/--inflight need a TCP endpoint (--spawn-server or --addr)".into(),
-        );
-    }
-    if contended && args.chaos {
-        return Err("--connections/--inflight and --chaos are mutually exclusive".into());
-    }
-    if contended && args.cold {
-        return Err("--connections/--inflight prewarm the cache; --cold conflicts".into());
+    if args.inflight > 1 && (args.chaos || args.cold) {
+        return Err("--chaos and --cold run one request at a time; use --inflight 1".into());
     }
     Ok(args)
 }
@@ -165,95 +155,39 @@ fn main() -> ExitCode {
     );
     let pairs = loadgen::build_pairs(args.pairs, args.seed);
 
-    let contended = args.connections > 1 || args.inflight > 1;
-    let registry = || {
-        Arc::new(EmbeddingRegistry::new(RegistryConfig {
+    // `_server` / `_proxy` must outlive the replay; dropping them joins
+    // their threads.
+    let mut _server = None;
+    let mut _proxy = None;
+    let target: SocketAddr = if let Some(addr) = &args.addr {
+        match addr.to_socket_addrs().ok().and_then(|mut it| it.next()) {
+            Some(a) => a,
+            None => {
+                eprintln!("xse-loadgen: cannot resolve {addr}");
+                return ExitCode::from(2);
+            }
+        }
+    } else {
+        let registry = Arc::new(EmbeddingRegistry::new(RegistryConfig {
             capacity: args.capacity,
             shards: args.shards,
             discovery: loadgen::loadgen_discovery(),
             ..RegistryConfig::default()
-        }))
-    };
-    let server_config = || ServerConfig {
-        // Contended runs hold one worker per connection for the whole
-        // replay; anything less serializes whole connections.
-        workers: if contended {
-            args.workers.max(args.connections)
-        } else {
-            args.workers
-        },
-        // Chaos runs stall connections on purpose; shorter deadlines keep
-        // workers circulating through the injected faults.
-        read_timeout: Some(if args.chaos {
-            Duration::from_secs(2)
-        } else {
-            Duration::from_secs(5)
-        }),
-        ..ServerConfig::default()
-    };
-
-    // `_server` / `_proxy` must outlive the endpoint; dropping them joins
-    // their threads.
-    let mut _server = None;
-    let mut _proxy = None;
-
-    if contended {
-        let target = if let Some(addr) = &args.addr {
-            use std::net::ToSocketAddrs;
-            match addr.to_socket_addrs().ok().and_then(|mut it| it.next()) {
-                Some(a) => a,
-                None => {
-                    eprintln!("xse-loadgen: cannot resolve {addr}");
-                    return ExitCode::from(2);
-                }
-            }
-        } else {
-            let handle = match Server::bind(("127.0.0.1", 0), registry(), server_config()) {
-                Ok(h) => h,
-                Err(e) => {
-                    eprintln!("xse-loadgen: bind: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let a = handle.addr();
-            eprintln!(
-                "xse-loadgen: spawned server on {a} ({} shards, {} connections x {} in flight)",
-                args.shards, args.connections, args.inflight
-            );
-            _server = Some(handle);
-            a
+        }));
+        let config = ServerConfig {
+            // A connection holds its worker for the whole replay; fewer
+            // workers than connections would serialize whole connections.
+            workers: args.workers.max(args.connections),
+            // Chaos runs stall connections on purpose; shorter deadlines
+            // keep workers circulating through the injected faults.
+            read_timeout: Some(if args.chaos {
+                Duration::from_secs(2)
+            } else {
+                Duration::from_secs(5)
+            }),
+            ..ServerConfig::default()
         };
-        let summary = match loadgen::run_contended(
-            target,
-            &pairs,
-            &ContendedConfig {
-                mix: args.mix.clone(),
-                ops_per_connection: args.ops,
-                seed: args.seed,
-                connections: args.connections,
-                inflight: args.inflight,
-            },
-        ) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("xse-loadgen: contended run: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        println!("{}", summary.to_json());
-        return check_summary(&args, &summary);
-    }
-
-    let mut endpoint = if let Some(addr) = &args.addr {
-        match Client::connect(addr.as_str()) {
-            Ok(c) => Endpoint::Tcp(c),
-            Err(e) => {
-                eprintln!("xse-loadgen: connect {addr}: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    } else if args.spawn_server {
-        let handle = match Server::bind(("127.0.0.1", 0), registry(), server_config()) {
+        let handle = match Server::bind(("127.0.0.1", 0), registry, config) {
             Ok(h) => h,
             Err(e) => {
                 eprintln!("xse-loadgen: bind: {e}");
@@ -261,65 +195,60 @@ fn main() -> ExitCode {
             }
         };
         let server_addr = handle.addr();
-        eprintln!("xse-loadgen: spawned server on {server_addr}");
+        eprintln!(
+            "xse-loadgen: spawned server on {server_addr} ({} shards, {} connections x {} in flight)",
+            args.shards, args.connections, args.inflight
+        );
         _server = Some(handle);
         if args.chaos {
-            let plan = FaultPlan::standard(args.fault_seed);
-            let proxy = match FaultProxy::spawn(server_addr, plan) {
+            let proxy = match FaultProxy::spawn(server_addr, FaultPlan::standard(args.fault_seed)) {
                 Ok(p) => p,
                 Err(e) => {
                     eprintln!("xse-loadgen: fault proxy: {e}");
                     return ExitCode::from(2);
                 }
             };
-            let proxy_addr = proxy.addr();
             eprintln!(
-                "xse-loadgen: chaos proxy on {proxy_addr} (fault seed {})",
+                "xse-loadgen: chaos proxy on {} (fault seed {})",
+                proxy.addr(),
                 args.fault_seed
             );
+            let proxy_addr = proxy.addr();
             _proxy = Some(proxy);
-            let client = RetryingClient::new(
-                proxy_addr,
-                ClientConfig {
-                    connect_timeout: Some(Duration::from_secs(1)),
-                    read_timeout: Some(Duration::from_secs(5)),
-                    write_timeout: Some(Duration::from_secs(2)),
-                },
-                RetryPolicy {
-                    seed: args.fault_seed,
-                    ..RetryPolicy::default()
-                },
-            );
-            match client {
-                Ok(c) => Endpoint::Retry(c),
-                Err(e) => {
-                    eprintln!("xse-loadgen: retry client: {e}");
-                    return ExitCode::from(2);
-                }
-            }
+            proxy_addr
         } else {
-            match Client::connect(server_addr) {
-                Ok(c) => Endpoint::Tcp(c),
-                Err(e) => {
-                    eprintln!("xse-loadgen: connect {server_addr}: {e}");
-                    return ExitCode::from(2);
-                }
-            }
+            server_addr
         }
-    } else {
-        Endpoint::InProcess(registry())
     };
 
-    let summary = loadgen::run(
-        &mut endpoint,
-        &pairs,
-        &LoadConfig {
-            mix: args.mix.clone(),
-            ops: args.ops,
-            seed: args.seed,
-            cold: args.cold,
+    let cfg = LoadConfig {
+        mix: args.mix.clone(),
+        ops: args.ops,
+        seed: args.seed,
+        cold: args.cold,
+        connections: args.connections,
+        inflight: args.inflight,
+        client: if args.chaos {
+            ClientConfig {
+                connect_timeout: Some(Duration::from_secs(1)),
+                read_timeout: Some(Duration::from_secs(5)),
+                write_timeout: Some(Duration::from_secs(2)),
+            }
+        } else {
+            ClientConfig::default()
         },
-    );
+        retry: args.chaos.then_some(RetryPolicy {
+            seed: args.fault_seed,
+            ..RetryPolicy::default()
+        }),
+    };
+    let summary = match loadgen::run(target, &pairs, &cfg) {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("xse-loadgen: prewarm: {e}");
+            return ExitCode::from(2);
+        }
+    };
     println!("{}", summary.to_json());
     if let Some(proxy) = &_proxy {
         let counts = proxy.fault_counts();

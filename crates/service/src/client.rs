@@ -1,11 +1,11 @@
 //! Blocking TCP clients for the embedding service: a deadline-bounded
-//! [`Client`] (one request at a time, the legacy id-0 lane), a
-//! [`PipelinedClient`] that keeps several tagged requests in flight on
-//! one connection, and a [`RetryingClient`] wrapper that reconnects and
-//! retries with exponential backoff and deterministic seeded jitter.
+//! [`Client`] that sends requests on nonzero ids and reads their answers
+//! in request order — one at a time with [`Client::call`], or several in
+//! flight with [`Client::submit`] / [`Client::recv`] — and a
+//! [`RetryingClient`] wrapper that reconnects and retries with
+//! exponential backoff and deterministic seeded jitter.
 
-use std::collections::HashSet;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -13,7 +13,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::proto::{
-    self, read_frame, write_frame, ErrorCode, FrameError, Request, Response, StatsWire,
+    self, holds_whole_frame, read_frame, write_frame, ErrorCode, FrameError, Request, Response,
+    StatsWire,
 };
 use crate::ServiceError;
 
@@ -54,15 +55,25 @@ impl Default for ClientConfig {
     }
 }
 
-/// One connection to a running [`Server`](crate::Server). Requests are
-/// strictly sequential per connection: every frame is sent with request
-/// id 0, the wire protocol's legacy unpipelined marker, so the server
-/// answers in order, one at a time. For several requests in flight per
-/// connection use [`PipelinedClient`]; for several concurrent callers,
-/// open one client each.
+/// One connection to a running [`Server`](crate::Server).
+///
+/// Every request goes out on a fresh nonzero id (1, 2, …, wrapping past
+/// `u32::MAX` back to 1) and the server answers in request order, so
+/// [`Client::recv`] always expects the oldest outstanding id. A caller
+/// may keep several requests in flight ([`Client::submit`] them, then
+/// `recv` each) or one at a time ([`Client::call`]). A slow request holds
+/// back the answers behind it on the same connection; callers needing
+/// independent requests open one client each.
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
+    /// Id the next submitted request gets.
+    next_id: u32,
+    /// Id of the oldest request whose answer is still due; answers come
+    /// in request order, so the due ids are `in_flight` consecutive ones
+    /// starting here.
+    due: u32,
+    in_flight: usize,
 }
 
 impl Client {
@@ -111,62 +122,49 @@ impl Client {
         Ok(Client {
             reader: BufReader::new(read_half),
             writer: BufWriter::new(conn),
+            next_id: 1,
+            due: 1,
+            in_flight: 0,
         })
     }
 
-    /// Send one request frame without waiting for the response. Exposed
-    /// (with [`Client::read_response`]) so wrappers like
-    /// [`RetryingClient`] can tell a pre-send failure from a post-send
-    /// one — the retry-safety boundary.
+    /// Number of submitted requests whose answers are still due.
+    pub fn in_flight(&self) -> usize {
+        self.in_flight
+    }
+
+    /// Queue `req` on the connection without waiting, returning the id
+    /// its answer will carry. The frame is buffered; it leaves no later
+    /// than the first [`Client::recv`] that has to wait on the socket.
     ///
     /// # Errors
     /// [`ServiceError::Timeout`] when the write deadline expires,
     /// [`ServiceError::Io`] on any other socket failure.
-    pub fn send_request(&mut self, req: &Request) -> Result<(), ServiceError> {
-        self.send_tagged(0, req)
+    pub fn submit(&mut self, req: &Request) -> Result<u32, ServiceError> {
+        let id = self.next_id;
+        write_frame(&mut self.writer, id, &req.encode()).map_err(write_error)?;
+        self.next_id = next_id(id);
+        self.in_flight += 1;
+        Ok(id)
     }
 
-    /// Send one request frame tagged with `request_id` (the pipelined
-    /// lane; [`PipelinedClient`] assigns nonzero ids and matches
-    /// responses back by id).
+    /// Send whatever is buffered — unless the next answer is already
+    /// here whole — then take the next answer and return it with its
+    /// id, always the oldest outstanding id.
     ///
     /// # Errors
-    /// As in [`Client::send_request`].
-    pub fn send_tagged(&mut self, request_id: u32, req: &Request) -> Result<(), ServiceError> {
-        write_frame(&mut self.writer, request_id, &req.encode()).map_err(|e| {
-            if proto::is_timeout(e.kind()) {
-                ServiceError::Timeout("write deadline expired sending the request".into())
-            } else {
-                ServiceError::Io(e.to_string())
-            }
-        })
-    }
-
-    /// Wait for one response frame (after [`Client::send_request`]).
-    ///
-    /// # Errors
+    /// Write errors as in [`Client::submit`];
     /// [`ServiceError::Timeout`] when the read deadline expires,
     /// [`ServiceError::Closed`] when the server closed cleanly between
     /// frames, [`ServiceError::Protocol`] for truncated or undecodable
-    /// responses — including a response carrying a nonzero request id,
-    /// which an unpipelined connection must never see —
+    /// answers and for an answer on any id but the oldest outstanding one,
+    /// [`ServiceError::Remote`] for an id-0 error frame (connection-level:
+    /// it answers no request and the server is closing),
     /// [`ServiceError::Io`] otherwise.
-    pub fn read_response(&mut self) -> Result<Response, ServiceError> {
-        let (id, resp) = self.read_tagged()?;
-        if id != 0 {
-            return Err(ServiceError::Protocol(format!(
-                "unpipelined connection received response id {id}"
-            )));
+    pub fn recv(&mut self) -> Result<(u32, Response), ServiceError> {
+        if !holds_whole_frame(self.reader.buffer()) {
+            self.writer.flush().map_err(write_error)?;
         }
-        Ok(resp)
-    }
-
-    /// Wait for one response frame and its echoed request id (the
-    /// pipelined lane — responses may arrive out of request order).
-    ///
-    /// # Errors
-    /// As in [`Client::read_response`], minus the id-0 check.
-    pub fn read_tagged(&mut self) -> Result<(u32, Response), ServiceError> {
         let (id, payload) = read_frame(&mut self.reader).map_err(|e| match e {
             FrameError::TooLarge(n) => {
                 ServiceError::Protocol(format!("server announced a {n}-byte frame"))
@@ -180,19 +178,75 @@ impl Client {
         })?;
         let resp = Response::decode(&payload)
             .ok_or_else(|| ServiceError::Protocol("undecodable response payload".into()))?;
+        if id == 0 {
+            return Err(match resp {
+                Response::Error { code, message } => ServiceError::Remote { code, message },
+                other => ServiceError::Protocol(format!("id-0 frame that is no error: {other:?}")),
+            });
+        }
+        if self.in_flight == 0 {
+            return Err(ServiceError::Protocol(format!(
+                "response id {id} matches no outstanding request"
+            )));
+        }
+        if id != self.due {
+            return Err(ServiceError::Protocol(format!(
+                "response id {id} arrived while {} was due",
+                self.due
+            )));
+        }
+        self.due = next_id(id);
+        self.in_flight -= 1;
         Ok((id, resp))
     }
 
-    /// Send one request and wait for its response frame.
+    /// `recv`, checked to answer the request submitted as `id`.
+    fn recv_answer(&mut self, id: u32) -> Result<Response, ServiceError> {
+        match self.recv()? {
+            (got, resp) if got == id => Ok(resp),
+            (got, _) => Err(ServiceError::Protocol(format!(
+                "response id {got} arrived where {id} was due"
+            ))),
+        }
+    }
+
+    /// Send one request and wait for its answer. Requests submitted
+    /// earlier must have been received first.
     ///
     /// # Errors
-    /// Transport errors as in [`Client::send_request`] and
-    /// [`Client::read_response`]. A [`Response::Error`] is a *successful*
-    /// call — match on it (or use the typed helpers, which surface it as
-    /// [`ServiceError::Remote`]).
+    /// Transport errors as in [`Client::submit`] and [`Client::recv`]. A
+    /// [`Response::Error`] is a *successful* call — match on it (or use
+    /// the typed helpers, which surface it as [`ServiceError::Remote`]).
     pub fn call(&mut self, req: &Request) -> Result<Response, ServiceError> {
-        self.send_request(req)?;
-        self.read_response()
+        let id = self.submit(req)?;
+        self.recv_answer(id)
+    }
+
+    /// Run `reqs` through the connection keeping at most `window` in
+    /// flight, and return their answers in request order.
+    ///
+    /// # Errors
+    /// The first transport error aborts the batch (per-request failures
+    /// arrive as `Ok(Response::Error { .. })` entries instead).
+    pub fn call_pipelined(
+        &mut self,
+        reqs: &[Request],
+        window: usize,
+    ) -> Result<Vec<Response>, ServiceError> {
+        let window = window.max(1);
+        let mut answers = Vec::with_capacity(reqs.len());
+        // The batch's ids are consecutive from here.
+        let mut expect = self.next_id;
+        let mut sent = 0;
+        while answers.len() < reqs.len() {
+            while sent < reqs.len() && sent - answers.len() < window {
+                self.submit(&reqs[sent])?;
+                sent += 1;
+            }
+            answers.push(self.recv_answer(expect)?);
+            expect = next_id(expect);
+        }
+        Ok(answers)
     }
 
     /// `compile`: returns `(source_hash, target_hash, |σ|)`.
@@ -314,131 +368,6 @@ impl Client {
     }
 }
 
-/// A client that keeps up to K requests in flight on one connection.
-///
-/// Every submitted request gets a fresh nonzero id; the server may answer
-/// **out of order**, and [`PipelinedClient::recv`] returns whichever
-/// response arrives next together with its id — correlation is the
-/// caller's choice of bookkeeping (or use
-/// [`PipelinedClient::call_pipelined`], which windows a whole batch and
-/// restores request order). A structured error frame fails only the
-/// request whose id it carries; the connection — and every other
-/// in-flight request — stays live. The exception is an error frame with
-/// id 0: the server could not attribute it to a request (oversized frame,
-/// read-deadline expiry), so it is connection-fatal and surfaces as
-/// [`ServiceError::Remote`].
-pub struct PipelinedClient {
-    conn: Client,
-    next_id: u32,
-    inflight: HashSet<u32>,
-}
-
-impl PipelinedClient {
-    /// Connect with the default [`ClientConfig`] deadlines.
-    ///
-    /// # Errors
-    /// As in [`Client::connect`].
-    pub fn connect(addr: impl ToSocketAddrs) -> Result<PipelinedClient, ServiceError> {
-        PipelinedClient::connect_with(addr, &ClientConfig::default())
-    }
-
-    /// Connect with explicit deadlines.
-    ///
-    /// # Errors
-    /// As in [`Client::connect`].
-    pub fn connect_with(
-        addr: impl ToSocketAddrs,
-        config: &ClientConfig,
-    ) -> Result<PipelinedClient, ServiceError> {
-        Ok(PipelinedClient {
-            conn: Client::connect_with(addr, config)?,
-            next_id: 1,
-            inflight: HashSet::new(),
-        })
-    }
-
-    /// Number of submitted requests whose responses are still outstanding.
-    pub fn in_flight(&self) -> usize {
-        self.inflight.len()
-    }
-
-    /// Send `req` without waiting, returning the id its response will
-    /// echo. Ids are assigned 1, 2, 3, … (wrapping past `u32::MAX` back
-    /// to 1 — 0 is the legacy unpipelined marker and is never assigned).
-    ///
-    /// # Errors
-    /// As in [`Client::send_request`].
-    pub fn submit(&mut self, req: &Request) -> Result<u32, ServiceError> {
-        let id = self.next_id;
-        self.next_id = self.next_id.checked_add(1).unwrap_or(1);
-        self.conn.send_tagged(id, req)?;
-        self.inflight.insert(id);
-        Ok(id)
-    }
-
-    /// Wait for the next response (whatever request it answers) and
-    /// return it with its id.
-    ///
-    /// # Errors
-    /// Transport errors as in [`Client::read_response`];
-    /// [`ServiceError::Protocol`] when the id matches no in-flight
-    /// request; [`ServiceError::Remote`] for an id-0 error frame
-    /// (connection-fatal, not attributable to any one request).
-    pub fn recv(&mut self) -> Result<(u32, Response), ServiceError> {
-        let (id, resp) = self.conn.read_tagged()?;
-        if id == 0 {
-            return Err(match resp {
-                Response::Error { code, message } => ServiceError::Remote { code, message },
-                other => ServiceError::Protocol(format!(
-                    "id-0 frame on a pipelined connection: {other:?}"
-                )),
-            });
-        }
-        if !self.inflight.remove(&id) {
-            return Err(ServiceError::Protocol(format!(
-                "response id {id} matches no in-flight request"
-            )));
-        }
-        Ok((id, resp))
-    }
-
-    /// Run `reqs` through the connection keeping at most `window` in
-    /// flight, and return the responses **in request order** regardless
-    /// of the order the server completed them.
-    ///
-    /// # Errors
-    /// The first transport error aborts the batch (per-request failures
-    /// arrive as `Ok(Response::Error { .. })` entries instead).
-    pub fn call_pipelined(
-        &mut self,
-        reqs: &[Request],
-        window: usize,
-    ) -> Result<Vec<Response>, ServiceError> {
-        let window = window.max(1);
-        let mut ordered: Vec<Option<Response>> = vec![None; reqs.len()];
-        let mut id_to_index = std::collections::HashMap::new();
-        let mut next = 0usize;
-        let mut done = 0usize;
-        while done < reqs.len() {
-            while next < reqs.len() && self.in_flight() < window {
-                let id = self.submit(&reqs[next])?;
-                id_to_index.insert(id, next);
-                next += 1;
-            }
-            let (id, resp) = self.recv()?;
-            let index = id_to_index.remove(&id).ok_or_else(|| {
-                ServiceError::Protocol(format!("response id {id} not part of this batch"))
-            })?;
-            ordered[index] = Some(resp);
-            done += 1;
-        }
-        Ok(ordered
-            .into_iter()
-            .map(|r| r.expect("all filled"))
-            .collect())
-    }
-}
-
 fn connect_one(addr: &SocketAddr, timeout: Option<Duration>) -> Result<TcpStream, ServiceError> {
     let result = match timeout {
         Some(t) => TcpStream::connect_timeout(addr, t),
@@ -451,6 +380,19 @@ fn connect_one(addr: &SocketAddr, timeout: Option<Duration>) -> Result<TcpStream
             ServiceError::Io(format!("connect to {addr} failed: {e}"))
         }
     })
+}
+
+/// The id after `id`: ids wrap past `u32::MAX` back to 1, never to 0.
+fn next_id(id: u32) -> u32 {
+    id.checked_add(1).unwrap_or(1)
+}
+
+fn write_error(e: std::io::Error) -> ServiceError {
+    if proto::is_timeout(e.kind()) {
+        ServiceError::Timeout("write deadline expired sending the request".into())
+    } else {
+        ServiceError::Io(e.to_string())
+    }
 }
 
 fn unexpected(resp: Response) -> ServiceError {
@@ -634,13 +576,9 @@ impl RetryingClient {
             }
         }
         let conn = self.conn.as_mut().expect("connected above");
-        if let Err(e) = conn.send_request(req) {
-            // The write may have partially reached the server — treat as
-            // post-send. The connection is dead either way.
-            self.conn = None;
-            return (Err(e), Retryability::IfIdempotent);
-        }
-        match conn.read_response() {
+        // Write failures surface on `recv`, which flushes: either way the
+        // request may have partially reached the server — post-send.
+        match conn.submit(req).and_then(|id| conn.recv_answer(id)) {
             Ok(resp) => {
                 let class = classify_response(&resp);
                 // A pre-execution rejection usually precedes a server-side
@@ -648,6 +586,15 @@ impl RetryingClient {
                 if class != Retryability::Fatal {
                     self.conn = None;
                 }
+                (Ok(resp), class)
+            }
+            // An id-0 error frame (a shed, a mid-frame timeout) is the
+            // server's last word on this connection; it is classified
+            // like the same code on a request's id.
+            Err(ServiceError::Remote { code, message }) => {
+                self.conn = None;
+                let resp = Response::Error { code, message };
+                let class = classify_response(&resp);
                 (Ok(resp), class)
             }
             Err(e) => {
@@ -717,6 +664,13 @@ mod tests {
             assert!(d <= policy.max_backoff);
             assert!(d >= policy.max_backoff / 2);
         }
+    }
+
+    #[test]
+    fn ids_wrap_past_the_top_to_one_never_zero() {
+        assert_eq!(next_id(1), 2);
+        assert_eq!(next_id(u32::MAX - 1), u32::MAX);
+        assert_eq!(next_id(u32::MAX), 1);
     }
 
     #[test]

@@ -14,15 +14,15 @@
 //!   ([`registry`] docs).
 //! * [`Server`] / [`Client`] — a length-prefixed binary protocol over
 //!   `std::net::TcpStream` with a bounded worker pool. No async runtime.
-//!   Nonzero request ids opt a connection into pipelining
-//!   ([`PipelinedClient`]): up to K requests in flight, responses matched
-//!   by id and possibly out of order (see *Wire format*).
+//!   Each connection is answered in request order, so a [`Client`] may
+//!   pipeline: keep several requests in flight and read their answers
+//!   back in the order it sent them (see *Wire format*).
 //! * [`loadgen`] — replays [`TrafficMix`](xse_workloads::traffic) request
-//!   mixes built from the workloads corpora against an in-process registry
-//!   or a TCP endpoint, and reports per-op latency percentiles, QPS and
-//!   hit rates. Its `--chaos` mode routes the replay through the fault
-//!   proxy with a retrying client and reports shed/retry counts plus an
-//!   error taxonomy.
+//!   mixes built from the workloads corpora over `connections` TCP
+//!   connections with `inflight` requests each, and reports per-op
+//!   latency percentiles, QPS and hit rates. Its `--chaos` mode routes
+//!   the replay through the fault proxy with retrying clients and reports
+//!   shed/retry counts plus an error taxonomy.
 //! * [`fault`] — [`FaultProxy`], an in-process chaos TCP proxy driven by a
 //!   seeded, deterministic [`FaultPlan`] (delay, reset, truncate
 //!   mid-frame, corrupt a byte), for exercising every failure path above
@@ -45,18 +45,17 @@
 //! **opcode**; all variable-length fields are `u32`-BE length-prefixed
 //! UTF-8 strings and all integers are big-endian.
 //!
-//! `id` is the **request id**, echoed verbatim in the response frame that
-//! answers the request. The compatibility rule: id `0` marks the legacy
-//! unpipelined lane — the server answers strictly in order and a
-//! connection using it behaves exactly like the pre-pipelining protocol.
-//! A **nonzero** id opts the connection into pipelined mode: the client
-//! may keep many requests in flight ([`PipelinedClient`]) and responses
-//! may arrive **out of order**; the id is the only correlation between a
-//! response and its request. A connection must not mix the two lanes —
-//! after the first nonzero id the server routes the connection through
-//! its out-of-order completion path, and any id-`0` *error* frame it
-//! subsequently emits (frame-too-large, mid-frame timeout) is
-//! connection-fatal because it cannot be attributed to one request.
+//! `id` is the **request id**. The client picks a nonzero id for every
+//! request ([`Client`] numbers them 1, 2, … and wraps past `u32::MAX`
+//! back to 1) and the server echoes it on the answer. The server answers
+//! each connection's requests **in request order**, one at a time, so a
+//! client may pipeline — send several requests before reading — and
+//! expects every answer on its oldest outstanding id; any other id is a
+//! protocol violation. A slow request holds back the answers behind it
+//! on the same connection; independent requests belong on separate
+//! connections. Id `0` appears only on the server's **connection-level**
+//! error frames — frame too large, read deadline expired mid-frame, load
+//! shed — which answer no particular request and precede a close.
 //!
 //! Request opcodes (client → server; `s`/`t` abbreviate the source and
 //! target DTD texts):
@@ -86,8 +85,9 @@
 //! bad document, `6` bad query, `7` no embedding found, `8` engine error,
 //! `9` not found (reserved), `10` overloaded (shed before execution —
 //! always safe to retry), `11` timeout (a server-side deadline expired).
-//! Every error except `1` leaves the connection open for further
-//! requests, and none of them poison the registry. Unassigned code bytes
+//! A request whose handler panics is answered with `8` on its own id.
+//! Every error except `1` and the id-0 frames leaves the connection open
+//! for further requests, and none of them poison the registry. Unassigned code bytes
 //! decode to [`ErrorCode::Unknown`] — clients
 //! must treat them as fatal application errors, not protocol violations,
 //! so new codes can be introduced server-first.
@@ -144,9 +144,7 @@ pub mod proto;
 pub mod registry;
 pub mod server;
 
-pub use client::{
-    Client, ClientConfig, PipelinedClient, RetryPolicy, RetryStats, RetryingClient, TranslateReply,
-};
+pub use client::{Client, ClientConfig, RetryPolicy, RetryStats, RetryingClient, TranslateReply};
 pub use fault::{FaultAction, FaultPlan, FaultProxy, FaultProxyHandle};
 pub use proto::{ErrorCode, Request, Response, MAX_FRAME_LEN};
 pub use registry::{EmbeddingRegistry, PairKey, RegistryConfig, RegistryStats};
@@ -155,7 +153,7 @@ pub use server::{Server, ServerConfig, ServerHandle};
 use xse_core::EmbeddingError;
 use xse_xmltree::parse_xml;
 
-/// Service-level failure, shared by the in-process API and the client.
+/// Service-level failure, shared by the registry API and the client.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ServiceError {
     /// A DTD text failed to parse.
@@ -237,9 +235,8 @@ impl ServiceError {
     }
 }
 
-/// Execute one request against a registry. This is the single dispatcher
-/// both the TCP server and the in-process load-generator endpoint share,
-/// so the two paths cannot drift.
+/// Execute one request against a registry: the dispatcher behind every
+/// request the TCP server answers.
 pub fn handle_request(registry: &EmbeddingRegistry, req: &Request) -> Response {
     match try_handle(registry, req) {
         Ok(resp) => resp,

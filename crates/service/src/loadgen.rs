@@ -1,5 +1,5 @@
-//! Load generator: replays [`TrafficMix`] request streams against an
-//! in-process registry or a TCP endpoint.
+//! Load generator: replays [`TrafficMix`] request streams against a
+//! running server over `connections` × `inflight` TCP requests.
 //!
 //! Fixtures are *embeddable by construction*: each [`SchemaPair`] takes a
 //! corpus (or synthetic) DTD as the source and a
@@ -10,15 +10,16 @@
 //! traffic), and translatable queries, all serialized to text exactly as a
 //! remote client would hold them.
 //!
-//! The replay itself is deterministic per `(mix, seed, pairs)`: op kinds,
-//! pair choices and payload choices all come from one seeded
-//! [`StdRng`]. `cold` mode issues an **untimed** evict for the chosen pair
-//! before every timed op, forcing each request to pay the compile path —
-//! the baseline against which the warm cache's speedup is measured.
+//! The replay itself is deterministic per `(mix, seed, pairs)`: each
+//! connection draws its op kinds, pair choices and payload choices from
+//! its own seeded [`StdRng`]. Pairs are compiled once, untimed, before
+//! the timed section; `cold` mode skips that and instead issues an
+//! **untimed** evict for the chosen pair before every timed op, forcing
+//! each request to pay the compile path — the baseline against which the
+//! warm cache's speedup is measured.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::net::SocketAddr;
-use std::sync::Arc;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -32,8 +33,8 @@ use xse_workloads::scale;
 use xse_workloads::traffic::{ServiceOp, TrafficMix};
 
 use crate::proto::{ErrorCode, Request, Response, StatsWire};
-use crate::registry::{default_similarity, EmbeddingRegistry};
-use crate::{Client, PipelinedClient, RetryStats, RetryingClient, ServiceError};
+use crate::registry::default_similarity;
+use crate::{Client, ClientConfig, RetryPolicy, RetryStats, RetryingClient, ServiceError};
 
 /// One source/target schema pair with pre-generated request payloads.
 pub struct SchemaPair {
@@ -164,54 +165,47 @@ fn build_pair(name: String, source: &Dtd, seed: u64) -> SchemaPair {
     }
 }
 
-/// Where requests are sent: in-process dispatch or a TCP connection.
-pub enum Endpoint {
-    /// Direct calls into [`handle_request`](crate::handle_request) — no
-    /// sockets, measures the registry + engine alone.
-    InProcess(Arc<EmbeddingRegistry>),
-    /// A connected client — measures the full wire path.
-    Tcp(Client),
-    /// A reconnecting, retrying client — the endpoint for chaos replays
-    /// (transport failures don't end the run; the client re-dials).
-    Retry(RetryingClient),
-}
-
-impl Endpoint {
-    fn exec(&mut self, req: &Request) -> Result<Response, ServiceError> {
-        match self {
-            Endpoint::InProcess(reg) => Ok(crate::handle_request(reg, req)),
-            Endpoint::Tcp(client) => client.call(req),
-            Endpoint::Retry(client) => client.call(req),
-        }
-    }
-
-    /// A broken plain TCP connection cannot carry further requests; the
-    /// retrying endpoint re-dials per call and the in-process one cannot
-    /// fail at transport level.
-    fn survives_transport_errors(&self) -> bool {
-        !matches!(self, Endpoint::Tcp(_))
-    }
-
-    fn retry_stats(&self) -> Option<RetryStats> {
-        match self {
-            Endpoint::Retry(client) => Some(client.stats()),
-            _ => None,
-        }
-    }
-}
-
 /// Replay parameters.
 #[derive(Clone, Debug)]
 pub struct LoadConfig {
-    /// The traffic mix to sample.
+    /// The traffic mix every connection samples.
     pub mix: TrafficMix,
-    /// Timed operations to issue.
+    /// Timed operations issued *per connection*.
     pub ops: usize,
-    /// RNG seed (the whole replay is deterministic per seed).
+    /// Base RNG seed; connection `i` draws from `seed ^ i·φ` (connection 0
+    /// from `seed` itself), so the whole replay is deterministic per seed.
     pub seed: u64,
-    /// Evict the chosen pair (untimed) before every timed op, forcing the
-    /// cold compile path.
+    /// Skip the prewarm and evict the chosen pair (untimed) before every
+    /// timed op, forcing the cold compile path. Needs `inflight == 1`.
     pub cold: bool,
+    /// Concurrent TCP connections (minimum 1).
+    pub connections: usize,
+    /// Requests each connection keeps in flight (minimum 1). Answers come
+    /// back in request order, so latency includes the wait behind the
+    /// connection's earlier requests — what a pipelining caller observes.
+    pub inflight: usize,
+    /// Deadlines of every connection the replay opens.
+    pub client: ClientConfig,
+    /// `Some`: every connection is a [`RetryingClient`] with this policy
+    /// (connection `i` jitters with `seed ^ i`) that survives transport
+    /// failures — the chaos replay. Needs `inflight == 1`. `None`: plain
+    /// [`Client`]s, and a transport failure ends that connection's stream.
+    pub retry: Option<RetryPolicy>,
+}
+
+impl Default for LoadConfig {
+    fn default() -> Self {
+        LoadConfig {
+            mix: TrafficMix::translate_heavy(),
+            ops: 400,
+            seed: 42,
+            cold: false,
+            connections: 1,
+            inflight: 1,
+            client: ClientConfig::default(),
+            retry: None,
+        }
+    }
 }
 
 /// Latency digest for one op kind.
@@ -314,7 +308,8 @@ pub struct LoadSummary {
     /// included: corruption is designed to be undecodable, never silently
     /// misread.
     pub misinterpretations: u64,
-    /// Retry counters, when the endpoint was [`Endpoint::Retry`].
+    /// Retry counters summed over the connections, when they were
+    /// [`RetryingClient`]s ([`LoadConfig::retry`]).
     pub retry: Option<RetryStats>,
     /// Per-op latency digests, in [`ServiceOp::ALL`] order, `None` when
     /// the op never ran.
@@ -414,151 +409,9 @@ pub fn response_matches(req: &Request, resp: &Response) -> bool {
     )
 }
 
-/// Replay `cfg.ops` sampled operations against `endpoint`.
-///
-/// Transport failures are counted; on a plain [`Endpoint::Tcp`] they also
-/// abort the replay early (a broken TCP connection cannot carry further
-/// requests), while the retrying and in-process endpoints press on.
-/// Structured error responses are counted and the replay continues.
-pub fn run(endpoint: &mut Endpoint, pairs: &[SchemaPair], cfg: &LoadConfig) -> LoadSummary {
-    assert!(!pairs.is_empty(), "load generation needs at least one pair");
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut latencies: Vec<Vec<u64>> = vec![Vec::new(); ServiceOp::ALL.len()];
-    let mut protocol_errors = 0u64;
-    let mut op_errors = 0u64;
-    let mut errors = ErrorTaxonomy::default();
-    let mut shed = 0u64;
-    let mut misinterpretations = 0u64;
-    let mut issued = 0u64;
-
-    let t0 = Instant::now();
-    for _ in 0..cfg.ops {
-        let pair = &pairs[rng.random_range(0..pairs.len())];
-        let op = cfg.mix.sample(&mut rng);
-        let req = match build_request(pair, op, &mut rng, cfg.mix.zipf_queries()) {
-            Some(r) => r,
-            // A pair can lack payloads for this op (e.g. no translatable
-            // queries survived setup); degrade to a cache touch.
-            None => Request::Compile {
-                source_dtd: pair.source_text.clone(),
-                target_dtd: pair.target_text.clone(),
-            },
-        };
-        if cfg.cold {
-            // Untimed: drop the entry so the timed op compiles.
-            let evict = Request::Evict {
-                source_dtd: pair.source_text.clone(),
-                target_dtd: pair.target_text.clone(),
-            };
-            if let Err(e) = endpoint.exec(&evict) {
-                protocol_errors += 1;
-                errors.note_transport(&e);
-                if !endpoint.survives_transport_errors() {
-                    break;
-                }
-                continue;
-            }
-        }
-        let start = Instant::now();
-        let result = endpoint.exec(&req);
-        let nanos = start.elapsed().as_nanos() as u64;
-        match result {
-            Ok(Response::Error { code, message: _ }) => {
-                op_errors += 1;
-                errors.note_response(code);
-                if code == ErrorCode::Overloaded {
-                    shed += 1;
-                }
-            }
-            Ok(resp) => {
-                if !response_matches(&req, &resp) {
-                    misinterpretations += 1;
-                }
-            }
-            Err(e) => {
-                protocol_errors += 1;
-                errors.note_transport(&e);
-                if !endpoint.survives_transport_errors() {
-                    break;
-                }
-                continue;
-            }
-        }
-        issued += 1;
-        let slot = ServiceOp::ALL
-            .iter()
-            .position(|&o| o == op)
-            .expect("in ALL");
-        latencies[slot].push(nanos);
-    }
-    let elapsed_nanos = t0.elapsed().as_nanos() as u64;
-
-    let registry = match endpoint.exec(&Request::Stats) {
-        Ok(Response::Stats(s)) => s,
-        _ => StatsWire::default(),
-    };
-    let resolutions = registry.hits + registry.misses + registry.single_flight_waits;
-    let hit_rate = if resolutions == 0 {
-        0.0
-    } else {
-        registry.hits as f64 / resolutions as f64
-    };
-    let translations = registry.plan_hits + registry.plan_misses;
-    let plan_hit_rate = if translations == 0 {
-        0.0
-    } else {
-        registry.plan_hits as f64 / translations as f64
-    };
-
-    let mut all: Vec<u64> = latencies.iter().flatten().copied().collect();
-    let per_op = ServiceOp::ALL
-        .iter()
-        .zip(latencies.iter_mut())
-        .map(|(&op, lat)| (op, digest(lat)))
-        .collect();
-    LoadSummary {
-        mix: cfg.mix.name().to_string(),
-        ops: issued,
-        elapsed_nanos,
-        qps: if elapsed_nanos == 0 {
-            0.0
-        } else {
-            issued as f64 * 1e9 / elapsed_nanos as f64
-        },
-        hit_rate,
-        plan_hit_rate,
-        protocol_errors,
-        op_errors,
-        errors,
-        shed,
-        misinterpretations,
-        retry: endpoint.retry_stats(),
-        per_op,
-        registry,
-        overall_digest: digest(&mut all),
-    }
-}
-
-/// Parameters for the contended replay: `connections` pipelined TCP
-/// connections, each keeping up to `inflight` requests in flight.
-#[derive(Clone, Debug)]
-pub struct ContendedConfig {
-    /// The traffic mix every connection samples (independently seeded).
-    pub mix: TrafficMix,
-    /// Timed operations issued *per connection*.
-    pub ops_per_connection: usize,
-    /// Base RNG seed; connection `i` derives its own stream from it.
-    pub seed: u64,
-    /// Concurrent TCP connections.
-    pub connections: usize,
-    /// Per-connection pipelining window (1 = lockstep, still pipelined
-    /// framing).
-    pub inflight: usize,
-}
-
-/// What one connection's replay produced, merged by [`run_contended`].
-#[derive(Default)]
-struct ConnOutcome {
+/// What replayed requests observed: latencies per op kind plus failure
+/// counts. One per connection, merged into the run's summary.
+struct Tally {
     latencies: Vec<Vec<u64>>,
     issued: u64,
     op_errors: u64,
@@ -566,72 +419,123 @@ struct ConnOutcome {
     errors: ErrorTaxonomy,
     shed: u64,
     misinterpretations: u64,
+    retry: Option<RetryStats>,
 }
 
-/// Replay the mix over `cfg.connections` concurrent [`PipelinedClient`]s,
-/// each holding up to `cfg.inflight` requests in flight.
+impl Tally {
+    fn new() -> Tally {
+        Tally {
+            latencies: vec![Vec::new(); ServiceOp::ALL.len()],
+            issued: 0,
+            op_errors: 0,
+            protocol_errors: 0,
+            errors: ErrorTaxonomy::default(),
+            shed: 0,
+            misinterpretations: 0,
+            retry: None,
+        }
+    }
+
+    /// A timed request came back with `resp` after `started`.
+    fn answered(&mut self, op: ServiceOp, req: &Request, resp: &Response, started: Instant) {
+        let nanos = started.elapsed().as_nanos() as u64;
+        match resp {
+            Response::Error { code, .. } => {
+                self.op_errors += 1;
+                self.errors.note_response(*code);
+                if *code == ErrorCode::Overloaded {
+                    self.shed += 1;
+                }
+            }
+            resp if !response_matches(req, resp) => self.misinterpretations += 1,
+            _ => {}
+        }
+        self.issued += 1;
+        let slot = ServiceOp::ALL
+            .iter()
+            .position(|&o| o == op)
+            .expect("in ALL");
+        self.latencies[slot].push(nanos);
+    }
+
+    fn failed(&mut self, err: &ServiceError) {
+        self.protocol_errors += 1;
+        self.errors.note_transport(err);
+    }
+
+    fn merge(&mut self, other: Tally) {
+        for (mine, theirs) in self.latencies.iter_mut().zip(other.latencies) {
+            mine.extend(theirs);
+        }
+        self.issued += other.issued;
+        self.op_errors += other.op_errors;
+        self.protocol_errors += other.protocol_errors;
+        self.errors.merge(&other.errors);
+        self.shed += other.shed;
+        self.misinterpretations += other.misinterpretations;
+        self.retry = match (self.retry, other.retry) {
+            (Some(a), Some(b)) => Some(RetryStats {
+                attempts: a.attempts + b.attempts,
+                retries: a.retries + b.retries,
+                reconnects: a.reconnects + b.reconnects,
+            }),
+            (a, b) => a.or(b),
+        };
+    }
+}
+
+/// Replay the mix against the server at `addr`: `cfg.connections`
+/// concurrent connections, each issuing `cfg.ops` timed requests with up
+/// to `cfg.inflight` in flight.
 ///
-/// Every pair is compiled once (untimed) before the timed section, so the
-/// digests measure the *warm* path under contention — registry fast-path
-/// reads racing across connections plus wire queueing — rather than
-/// compile storms. Latency is submit→receive per request, which under a
-/// deep window deliberately includes time spent queued behind the
-/// connection's other in-flight requests: that is the latency a pipelined
-/// caller observes.
+/// Unless `cfg.cold` is set, every pair is compiled once (untimed) before
+/// the timed section, so the digests measure the warm path. Latency is
+/// submit→answer per request. Structured error answers are counted and
+/// the replay continues; a transport failure is counted and ends that
+/// connection's stream, unless the connections retry
+/// ([`LoadConfig::retry`]), which re-dial and press on.
 ///
-/// Fails only if the prewarm client cannot be set up; per-connection
-/// transport failures end that connection's stream and are counted in the
-/// merged taxonomy.
-pub fn run_contended(
+/// # Errors
+/// The first transport failure of the untimed prewarm.
+///
+/// # Panics
+/// On an empty `pairs`, a zero `connections` or `inflight`, or
+/// `inflight > 1` together with `cold` or `retry`.
+pub fn run(
     addr: SocketAddr,
     pairs: &[SchemaPair],
-    cfg: &ContendedConfig,
+    cfg: &LoadConfig,
 ) -> Result<LoadSummary, ServiceError> {
     assert!(!pairs.is_empty(), "load generation needs at least one pair");
     assert!(cfg.connections >= 1, "need at least one connection");
     assert!(cfg.inflight >= 1, "need a window of at least one");
-
-    // Prewarm (untimed): every pair compiles exactly once up front.
-    let mut control = Client::connect(addr)?;
-    for p in pairs {
-        control.call(&Request::Compile {
-            source_dtd: p.source_text.clone(),
-            target_dtd: p.target_text.clone(),
-        })?;
+    assert!(
+        cfg.inflight == 1 || !(cfg.cold || cfg.retry.is_some()),
+        "cold and retrying replays run one request at a time"
+    );
+    // Untimed requests go over their own short-lived connection, retrying
+    // like the replay's own connections do.
+    let control = || RetryingClient::new(addr, cfg.client, cfg.retry.unwrap_or_default());
+    if !cfg.cold {
+        let mut warm = control()?;
+        for p in pairs {
+            warm.call(&compile_request(p))?;
+        }
     }
 
     let t0 = Instant::now();
-    let outcomes: Vec<ConnOutcome> = std::thread::scope(|scope| {
+    let mut tally = Tally::new();
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..cfg.connections)
-            .map(|conn| scope.spawn(move || drive_connection(addr, pairs, cfg, conn as u64)))
+            .map(|conn| scope.spawn(move || drive(addr, pairs, cfg, conn as u64)))
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("connection thread panicked"))
-            .collect()
+        for h in handles {
+            tally.merge(h.join().expect("connection thread panicked"));
+        }
     });
     let elapsed_nanos = t0.elapsed().as_nanos() as u64;
 
-    let mut latencies: Vec<Vec<u64>> = vec![Vec::new(); ServiceOp::ALL.len()];
-    let mut issued = 0u64;
-    let mut op_errors = 0u64;
-    let mut protocol_errors = 0u64;
-    let mut errors = ErrorTaxonomy::default();
-    let mut shed = 0u64;
-    let mut misinterpretations = 0u64;
-    for out in outcomes {
-        for (slot, lat) in out.latencies.into_iter().enumerate() {
-            latencies[slot].extend(lat);
-        }
-        issued += out.issued;
-        op_errors += out.op_errors;
-        protocol_errors += out.protocol_errors;
-        errors.merge(&out.errors);
-        shed += out.shed;
-        misinterpretations += out.misinterpretations;
-    }
-
-    let registry = match control.call(&Request::Stats) {
+    let registry = match control().and_then(|mut c| c.call(&Request::Stats)) {
         Ok(Response::Stats(s)) => s,
         _ => StatsWire::default(),
     };
@@ -648,127 +552,133 @@ pub fn run_contended(
         registry.plan_hits as f64 / translations as f64
     };
 
-    let mut all: Vec<u64> = latencies.iter().flatten().copied().collect();
+    let mut all: Vec<u64> = tally.latencies.iter().flatten().copied().collect();
     let per_op = ServiceOp::ALL
         .iter()
-        .zip(latencies.iter_mut())
+        .zip(tally.latencies.iter_mut())
         .map(|(&op, lat)| (op, digest(lat)))
         .collect();
     Ok(LoadSummary {
         mix: cfg.mix.name().to_string(),
-        ops: issued,
+        ops: tally.issued,
         elapsed_nanos,
         qps: if elapsed_nanos == 0 {
             0.0
         } else {
-            issued as f64 * 1e9 / elapsed_nanos as f64
+            tally.issued as f64 * 1e9 / elapsed_nanos as f64
         },
         hit_rate,
         plan_hit_rate,
-        protocol_errors,
-        op_errors,
-        errors,
-        shed,
-        misinterpretations,
-        retry: None,
+        protocol_errors: tally.protocol_errors,
+        op_errors: tally.op_errors,
+        errors: tally.errors,
+        shed: tally.shed,
+        misinterpretations: tally.misinterpretations,
+        retry: tally.retry,
         per_op,
         registry,
         overall_digest: digest(&mut all),
     })
 }
 
-fn drive_connection(
-    addr: SocketAddr,
-    pairs: &[SchemaPair],
-    cfg: &ContendedConfig,
-    conn: u64,
-) -> ConnOutcome {
-    let mut out = ConnOutcome {
-        latencies: vec![Vec::new(); ServiceOp::ALL.len()],
-        ..ConnOutcome::default()
-    };
-    let mut client = match PipelinedClient::connect(addr) {
-        Ok(c) => c,
-        Err(e) => {
-            out.protocol_errors += 1;
-            out.errors.note_transport(&e);
-            return out;
-        }
-    };
+/// One connection's replay: its pre-sampled stream of timed requests,
+/// each preceded by an untimed evict in `cold` mode.
+fn drive(addr: SocketAddr, pairs: &[SchemaPair], cfg: &LoadConfig, conn: u64) -> Tally {
+    let mut tally = Tally::new();
     // Pre-sample the whole stream so the timed loop does no generation
     // work; each connection gets an independent deterministic stream.
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ conn.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let reqs: Vec<(ServiceOp, Request)> = (0..cfg.ops_per_connection)
+    let stream: Vec<(ServiceOp, &SchemaPair, Request)> = (0..cfg.ops)
         .map(|_| {
             let pair = &pairs[rng.random_range(0..pairs.len())];
             let op = cfg.mix.sample(&mut rng);
-            let req =
-                build_request(pair, op, &mut rng, cfg.mix.zipf_queries()).unwrap_or_else(|| {
-                    Request::Compile {
-                        source_dtd: pair.source_text.clone(),
-                        target_dtd: pair.target_text.clone(),
-                    }
-                });
-            (op, req)
+            // A pair can lack payloads for this op (e.g. no translatable
+            // queries survived setup); degrade to a cache touch.
+            let req = build_request(pair, op, &mut rng, cfg.mix.zipf_queries())
+                .unwrap_or_else(|| compile_request(pair));
+            (op, pair, req)
         })
         .collect();
+    let evict = |pair: &SchemaPair| Request::Evict {
+        source_dtd: pair.source_text.clone(),
+        target_dtd: pair.target_text.clone(),
+    };
 
-    let mut pending: HashMap<u32, (usize, Instant)> = HashMap::new();
-    let mut next = 0usize;
-    loop {
-        // Fill the window first, then block on one completion.
-        if next < reqs.len() && pending.len() < cfg.inflight {
-            let started = Instant::now();
-            match client.submit(&reqs[next].1) {
-                Ok(id) => {
-                    pending.insert(id, (next, started));
-                    next += 1;
+    if let Some(policy) = cfg.retry {
+        let policy = RetryPolicy {
+            seed: policy.seed ^ conn,
+            ..policy
+        };
+        let mut client = match RetryingClient::new(addr, cfg.client, policy) {
+            Ok(c) => c,
+            Err(e) => {
+                tally.failed(&e);
+                return tally;
+            }
+        };
+        for (op, pair, req) in &stream {
+            if cfg.cold {
+                if let Err(e) = client.call(&evict(pair)) {
+                    tally.failed(&e);
                     continue;
                 }
-                Err(e) => {
-                    out.protocol_errors += 1;
-                    out.errors.note_transport(&e);
+            }
+            let started = Instant::now();
+            match client.call(req) {
+                Ok(resp) => tally.answered(*op, req, &resp, started),
+                Err(e) => tally.failed(&e),
+            }
+        }
+        tally.retry = Some(client.stats());
+        return tally;
+    }
+
+    let mut client = match Client::connect_with(addr, &cfg.client) {
+        Ok(c) => c,
+        Err(e) => {
+            tally.failed(&e);
+            return tally;
+        }
+    };
+    // Fill the window, then take the oldest answer; repeat.
+    let mut window: VecDeque<(usize, Instant)> = VecDeque::with_capacity(cfg.inflight);
+    let mut next = 0;
+    loop {
+        if next < stream.len() && window.len() < cfg.inflight {
+            let (_, pair, req) = &stream[next];
+            if cfg.cold {
+                if let Err(e) = client.call(&evict(pair)) {
+                    tally.failed(&e);
                     break;
                 }
             }
-        }
-        if pending.is_empty() {
-            break;
-        }
-        match client.recv() {
-            Ok((id, resp)) => {
-                let (idx, started) = pending.remove(&id).expect("recv validated the id");
-                let nanos = started.elapsed().as_nanos() as u64;
-                let (op, req) = &reqs[idx];
-                match resp {
-                    Response::Error { code, message: _ } => {
-                        out.op_errors += 1;
-                        out.errors.note_response(code);
-                        if code == ErrorCode::Overloaded {
-                            out.shed += 1;
-                        }
-                    }
-                    resp => {
-                        if !response_matches(req, &resp) {
-                            out.misinterpretations += 1;
-                        }
-                    }
-                }
-                out.issued += 1;
-                let slot = ServiceOp::ALL
-                    .iter()
-                    .position(|&o| o == *op)
-                    .expect("in ALL");
-                out.latencies[slot].push(nanos);
+            window.push_back((next, Instant::now()));
+            if let Err(e) = client.submit(req) {
+                tally.failed(&e);
+                break;
             }
+            next += 1;
+            continue;
+        }
+        let Some((i, started)) = window.pop_front() else {
+            break;
+        };
+        match client.recv() {
+            Ok((_, resp)) => tally.answered(stream[i].0, &stream[i].2, &resp, started),
             Err(e) => {
-                out.protocol_errors += 1;
-                out.errors.note_transport(&e);
+                tally.failed(&e);
                 break;
             }
         }
     }
-    out
+    tally
+}
+
+fn compile_request(pair: &SchemaPair) -> Request {
+    Request::Compile {
+        source_dtd: pair.source_text.clone(),
+        target_dtd: pair.target_text.clone(),
+    }
 }
 
 fn digest(lat: &mut [u64]) -> Option<OpDigest> {
@@ -853,7 +763,18 @@ fn pick_zipf<'a, T>(items: &'a [T], rng: &mut StdRng) -> Option<&'a T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::RegistryConfig;
+    use crate::registry::{EmbeddingRegistry, RegistryConfig};
+    use crate::{Server, ServerConfig, ServerHandle};
+    use std::sync::Arc;
+
+    fn spawn_server() -> ServerHandle {
+        let registry = Arc::new(EmbeddingRegistry::new(RegistryConfig {
+            capacity: 8,
+            discovery: loadgen_discovery(),
+            ..RegistryConfig::default()
+        }));
+        Server::bind(("127.0.0.1", 0), registry, ServerConfig::default()).unwrap()
+    }
 
     #[test]
     fn pairs_are_embeddable_with_payloads() {
@@ -876,26 +797,21 @@ mod tests {
     #[test]
     fn replay_is_deterministic_and_clean() {
         let pairs = build_pairs(2, 11);
-        let reg = Arc::new(EmbeddingRegistry::new(RegistryConfig {
-            capacity: 8,
-            discovery: loadgen_discovery(),
-            ..RegistryConfig::default()
-        }));
+        let server = spawn_server();
         let cfg = LoadConfig {
             mix: TrafficMix::mixed(),
             ops: 60,
             seed: 5,
-            cold: false,
+            ..LoadConfig::default()
         };
-        let mut ep = Endpoint::InProcess(Arc::clone(&reg));
-        let summary = run(&mut ep, &pairs, &cfg);
+        let summary = run(server.addr(), &pairs, &cfg).unwrap();
         assert_eq!(summary.ops, 60);
         assert_eq!(summary.protocol_errors, 0);
         assert_eq!(summary.op_errors, 0, "{}", summary.to_json());
         assert!(summary.qps > 0.0);
         assert_eq!(summary.misinterpretations, 0);
         assert_eq!(summary.shed, 0);
-        assert!(summary.retry.is_none(), "in-process endpoint never retries");
+        assert!(summary.retry.is_none(), "plain connections never retry");
         let json = summary.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
         assert!(json.contains("\"mix\":\"mixed\""), "{json}");
@@ -933,18 +849,14 @@ mod tests {
     #[test]
     fn repeated_query_mix_mostly_hits_the_plan_cache() {
         let pairs = build_pairs(2, 11);
-        let reg = Arc::new(EmbeddingRegistry::new(RegistryConfig {
-            capacity: 8,
-            discovery: loadgen_discovery(),
-            ..RegistryConfig::default()
-        }));
+        let server = spawn_server();
         let cfg = LoadConfig {
             mix: TrafficMix::repeated_query(),
             ops: 300,
             seed: 5,
-            cold: false,
+            ..LoadConfig::default()
         };
-        let summary = run(&mut Endpoint::InProcess(Arc::clone(&reg)), &pairs, &cfg);
+        let summary = run(server.addr(), &pairs, &cfg).unwrap();
         assert_eq!(summary.protocol_errors + summary.op_errors, 0);
         // Two pairs hold at most 12 distinct queries between them, so with
         // ~280 translates nearly all land on cached plans.

@@ -9,13 +9,13 @@
 //!
 //! # Request ids and pipelining
 //!
-//! The request id lets a client keep several requests in flight on one
-//! connection: the server echoes each request's id on its response frame,
-//! and pipelined responses may arrive **out of order** — the id is the
-//! only correlation. Id `0` is reserved for legacy unpipelined traffic:
-//! a client that sends id 0 for every request is served strictly
-//! in order, one at a time, exactly like the pre-pipelining protocol.
-//! Clients must not mix id-0 and nonzero-id requests on one connection.
+//! The client picks a nonzero request id for every request and the
+//! server echoes it on the answer. Answers leave in request order, so a
+//! client may pipeline — send several frames, then read their answers —
+//! and check each answer's id against its oldest outstanding request.
+//! Id `0` appears only on the server's connection-level error frames
+//! (frame too large, read deadline expired mid-frame, load shed), which
+//! answer no particular request and precede a close.
 
 use std::io::{self, Read, Write};
 
@@ -298,8 +298,8 @@ pub fn is_timeout(kind: io::ErrorKind) -> bool {
 }
 
 /// Write one frame: `u32`-BE payload length, `u32`-BE request id, then
-/// the payload. Request id 0 marks legacy unpipelined traffic (see the
-/// [module docs](self)).
+/// the payload. Does not flush: a buffered writer's caller decides when
+/// the bytes leave (see the [module docs](self) for the id rules).
 ///
 /// # Errors
 /// `InvalidInput` when the payload exceeds [`MAX_FRAME_LEN`] — an
@@ -317,16 +317,15 @@ pub fn write_frame(w: &mut impl Write, request_id: u32, payload: &[u8]) -> io::R
     }
     w.write_all(&(payload.len() as u32).to_be_bytes())?;
     w.write_all(&request_id.to_be_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
+    w.write_all(payload)
 }
 
 /// Read one frame, returning `(request_id, payload)`. The
 /// [`MAX_FRAME_LEN`] cap is enforced *before* reading the body (the full
 /// 8-byte header is consumed first). An oversized announcement is
 /// answered by the server with an **id-0** error frame — the connection
-/// is closing, and id 0 on a pipelined connection marks exactly such
-/// connection-fatal errors. Clean closes ([`FrameError::Closed`]) are
+/// is closing, and id 0 marks exactly such connection-level errors.
+/// Clean closes ([`FrameError::Closed`]) are
 /// distinguished from mid-frame disconnects ([`FrameError::Truncated`])
 /// and read-deadline expiries ([`FrameError::TimedOut`]).
 pub fn read_frame(r: &mut impl Read) -> Result<(u32, Vec<u8>), FrameError> {
@@ -340,6 +339,15 @@ pub fn read_frame(r: &mut impl Read) -> Result<(u32, Vec<u8>), FrameError> {
     let mut payload = vec![0u8; n];
     fill(r, &mut payload, false)?;
     Ok((request_id, payload))
+}
+
+/// Whether `buf` — a reader's buffered bytes — holds a whole frame,
+/// header and payload, so that reading it cannot block on the socket.
+/// Both ends hold their written frames back only while this is true of
+/// their read buffer: a pipelined burst then goes out in one write, and
+/// no peer waits on the socket with its own frames unsent.
+pub fn holds_whole_frame(buf: &[u8]) -> bool {
+    buf.len() >= 8 && buf.len() - 8 >= u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize
 }
 
 /// `read_exact` with typed outcomes. `at_boundary` is true for the length
@@ -739,7 +747,7 @@ mod tests {
         let mut r = &buf[..];
         assert_eq!(read_frame(&mut r).unwrap(), (7, b"hello".to_vec()));
 
-        // Id 0 (the legacy marker) round-trips like any other.
+        // Id 0 (connection-level errors) round-trips like any other.
         let mut buf = Vec::new();
         write_frame(&mut buf, 0, b"x").unwrap();
         let mut r = &buf[..];

@@ -734,8 +734,14 @@ impl EmbeddingRegistry {
     }
 }
 
+/// Parse a DTD text and reduce it — the DTD the cache key hashes, so the
+/// engine compiled under a key is a function of the key alone. `reduce`
+/// keeps surviving types in order, so an already-reduced DTD comes back
+/// unchanged; one whose root is unproductive is kept as parsed (its
+/// content hash falls back the same way).
 fn parse_dtd(text: &str, which: &'static str) -> Result<Dtd, ServiceError> {
-    Dtd::parse(text).map_err(|e| ServiceError::BadDtd(format!("{which} DTD: {e}")))
+    let dtd = Dtd::parse(text).map_err(|e| ServiceError::BadDtd(format!("{which} DTD: {e}")))?;
+    Ok(dtd.reduce().map_or(dtd, |(reduced, _)| reduced))
 }
 
 #[cfg(test)]
@@ -815,6 +821,24 @@ mod tests {
         let (_, e2) = reg.get_or_compile(s_permuted, &t).unwrap();
         assert!(Arc::ptr_eq(&e1, &e2), "permuted DTD text missed the cache");
         assert_eq!(reg.stats().compiles, 1);
+    }
+
+    #[test]
+    fn unreachable_declarations_compile_the_reduced_pair() {
+        // `z` is unreachable from the root, so the text reduces to the
+        // clean one: one key, and the engine under it is the reduced
+        // pair's whichever text arrives first.
+        let poison = "<!ELEMENT r (a)> <!ELEMENT a (#PCDATA)> <!ELEMENT z (#PCDATA)>";
+        let clean = "<!ELEMENT r (a)> <!ELEMENT a (#PCDATA)>";
+        for order in [[poison, clean], [clean, poison]] {
+            let reg = small_registry(4);
+            let (k1, e1) = reg.get_or_compile(order[0], clean).unwrap();
+            let (k2, e2) = reg.get_or_compile(order[1], clean).unwrap();
+            assert_eq!(k1, k2);
+            assert!(Arc::ptr_eq(&e1, &e2));
+            assert_eq!(e1.source().type_count(), 2, "{}", e1.describe());
+            assert_eq!(reg.stats().compiles, 1);
+        }
     }
 
     #[test]

@@ -4,16 +4,15 @@
 //! Connections are accepted on a dedicated thread and pushed onto a
 //! `Mutex<VecDeque<TcpStream>>`; `workers` pool threads pop connections
 //! and run each one to completion (connection-per-worker). A connection
-//! that only ever sends request id 0 is served in the legacy strict
-//! request/response lockstep. The first nonzero request id switches the
-//! connection into **pipelined mode**: the worker becomes a frame reader
-//! feeding a bounded in-connection task queue, a small scoped executor
-//! pool ([`ServerConfig::pipeline_executors`]) handles requests
-//! concurrently, and responses are written — each tagged with its
-//! request's id — in **completion order**, not arrival order. The task
-//! queue is bounded at [`ServerConfig::max_inflight`]; when a client
-//! overruns it, the reader simply stops reading and TCP backpressure does
-//! the rest.
+//! is served by one loop: read a frame, handle it, write the answer
+//! tagged with the request's id. Answers therefore leave in request
+//! order, and a client may pipeline by sending several frames before
+//! reading any answer.
+//!
+//! Answers are written into a buffer, which is flushed after each answer
+//! unless the read buffer already holds the whole next frame. A pipelined
+//! burst is thus answered with one write, and the loop never blocks on
+//! the socket while an answer sits unflushed.
 //!
 //! # Robustness
 //!
@@ -26,6 +25,9 @@
 //!   ([`ServerConfig::request_budget`]); a response produced after the
 //!   budget is replaced by a `Timeout` error (a blocking engine call
 //!   cannot be interrupted, so the budget is enforced at response time).
+//! * A request whose handling **panics** is answered with an
+//!   `EngineError` frame on its own id; the worker and the connection
+//!   live on.
 //! * The accept queue is **bounded** ([`ServerConfig::max_queued`]):
 //!   excess connections are answered immediately with an `Overloaded`
 //!   error frame and closed — shed, not queued. Sheds are counted on
@@ -37,12 +39,15 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::proto::{read_frame, write_frame, ErrorCode, FrameError, Request, Response};
+use crate::proto::{
+    holds_whole_frame, read_frame, write_frame, ErrorCode, FrameError, Request, Response,
+};
 use crate::registry::EmbeddingRegistry;
 
 /// Server construction knobs.
@@ -70,14 +75,6 @@ pub struct ServerConfig {
     /// How long shutdown waits for in-flight connections to finish before
     /// force-closing their sockets.
     pub drain_deadline: Duration,
-    /// Executor threads spawned for a connection once it enters pipelined
-    /// mode (first nonzero request id). At least 2 are needed for
-    /// out-of-order completion to be observable; minimum 1.
-    pub pipeline_executors: usize,
-    /// Bound on a pipelined connection's queued-but-unstarted requests.
-    /// When full, the reader stops pulling frames until an executor
-    /// drains one — backpressure via TCP, never an unbounded buffer.
-    pub max_inflight: usize,
 }
 
 impl Default for ServerConfig {
@@ -89,8 +86,6 @@ impl Default for ServerConfig {
             request_budget: Some(Duration::from_secs(10)),
             max_queued: 64,
             drain_deadline: Duration::from_secs(2),
-            pipeline_executors: 4,
-            max_inflight: 32,
         }
     }
 }
@@ -344,12 +339,19 @@ fn shed_connection(conn: TcpStream, write_timeout: Option<Duration>, why: &'stat
     });
 }
 
-/// Decode, dispatch, and budget-check one request. `started` is the frame
-/// arrival time, so a pipelined request's queueing delay counts against
-/// its budget too.
-fn process_request(payload: &[u8], started: Instant, ctx: &WorkerCtx) -> Response {
+/// Decode, dispatch, and budget-check one request. A panic in the
+/// handler becomes an `EngineError` answer, so one poisonous request
+/// cannot take its worker down.
+fn process_request(payload: &[u8], ctx: &WorkerCtx) -> Response {
+    let started = Instant::now();
     let mut resp = match Request::decode(payload) {
-        Ok(req) => crate::handle_request(&ctx.registry, &req),
+        Ok(req) => catch_unwind(AssertUnwindSafe(|| {
+            crate::handle_request(&ctx.registry, &req)
+        }))
+        .unwrap_or_else(|panic| Response::Error {
+            code: ErrorCode::EngineError,
+            message: format!("request handler panicked: {}", panic_message(&*panic)),
+        }),
         // Framing stays intact on a malformed *payload* — only this
         // request is poisoned — so answer and keep the connection.
         Err(code) => Response::Error {
@@ -376,10 +378,17 @@ fn process_request(payload: &[u8], started: Instant, ctx: &WorkerCtx) -> Respons
     resp
 }
 
-/// Answer a frame-read failure (best effort) and report whether the
-/// connection is over. Connection-level failures are tagged with id 0 —
-/// on a pipelined connection that marks them as fatal to the whole
-/// connection rather than to any one request.
+fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
+    panic
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
+}
+
+/// Answer a frame-read failure (best effort); the connection is over
+/// either way. These failures belong to no request, so their error
+/// frames carry id 0.
 fn answer_read_error(err: FrameError, writer: &mut impl Write) {
     match err {
         FrameError::Closed | FrameError::Truncated | FrameError::Io(_) => {}
@@ -408,9 +417,7 @@ fn answer_read_error(err: FrameError, writer: &mut impl Write) {
 }
 
 /// Run one connection to completion, bounded by the configured deadlines
-/// and the drain flag. Starts in the legacy strict request/response loop;
-/// the first nonzero request id hands the connection to
-/// [`serve_pipelined`] for out-of-order completion.
+/// and the drain flag: read a frame, handle it, answer it on its id.
 fn serve_connection(conn: TcpStream, ctx: &WorkerCtx) {
     if conn.set_read_timeout(ctx.config.read_timeout).is_err()
         || conn.set_write_timeout(ctx.config.write_timeout).is_err()
@@ -431,16 +438,13 @@ fn serve_connection(conn: TcpStream, ctx: &WorkerCtx) {
                 break;
             }
         };
-        let started = Instant::now();
-        if req_id != 0 {
-            // The peer pipelines. Hand the whole connection over, first
-            // frame included; serve_pipelined runs it to completion.
-            serve_pipelined((req_id, payload, started), reader, writer, ctx);
-            ctx.tracker.unregister(id);
-            return;
+        let resp = process_request(&payload, ctx);
+        if write_frame(&mut writer, req_id, &resp.encode()).is_err() {
+            break;
         }
-        let resp = process_request(&payload, started, ctx);
-        if write_frame(&mut writer, 0, &resp.encode()).is_err() {
+        // Hold the answer back only while the next request is already
+        // here: the next read then cannot block with it unflushed.
+        if !holds_whole_frame(reader.buffer()) && writer.flush().is_err() {
             break;
         }
         // Draining: finish the in-flight request (just answered), then
@@ -451,92 +455,4 @@ fn serve_connection(conn: TcpStream, ctx: &WorkerCtx) {
     }
     let _ = writer.flush();
     ctx.tracker.unregister(id);
-}
-
-/// One queued pipelined frame: request id, payload, arrival instant
-/// (queue time counts against the request budget).
-type PipeTask = (u32, Vec<u8>, Instant);
-
-/// A pipelined connection's task queue: frames in arrival order, a done
-/// flag set when the reader stops, and two condvars — `ready` wakes
-/// executors, `space` wakes the reader when the bounded queue drains.
-struct PipeQueue {
-    tasks: Mutex<(VecDeque<PipeTask>, bool)>,
-    ready: Condvar,
-    space: Condvar,
-}
-
-/// Pipelined mode: this thread keeps reading frames into a bounded queue
-/// while scoped executors dispatch them and write responses — tagged with
-/// their request ids — in completion order. An executor failing to write
-/// (peer gone) flips `dead` so the reader stops promptly.
-fn serve_pipelined(
-    first: PipeTask,
-    mut reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-    ctx: &WorkerCtx,
-) {
-    let queue = PipeQueue {
-        tasks: Mutex::new((VecDeque::from([first]), false)),
-        ready: Condvar::new(),
-        space: Condvar::new(),
-    };
-    let writer = Mutex::new(writer);
-    let dead = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        for _ in 0..ctx.config.pipeline_executors.max(1) {
-            scope.spawn(|| loop {
-                let task = {
-                    let mut guard = queue.tasks.lock().unwrap();
-                    loop {
-                        if let Some(task) = guard.0.pop_front() {
-                            queue.space.notify_one();
-                            break Some(task);
-                        }
-                        if guard.1 {
-                            break None;
-                        }
-                        guard = queue.ready.wait(guard).unwrap();
-                    }
-                };
-                let Some((req_id, payload, started)) = task else {
-                    return;
-                };
-                let resp = process_request(&payload, started, ctx);
-                let mut w = writer.lock().unwrap();
-                if write_frame(&mut *w, req_id, &resp.encode()).is_err() {
-                    dead.store(true, Ordering::SeqCst);
-                    return;
-                }
-            });
-        }
-        // Reader loop (this thread). The first frame is already queued.
-        loop {
-            if dead.load(Ordering::SeqCst) || ctx.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let frame = read_frame(&mut reader);
-            match frame {
-                Ok((req_id, payload)) => {
-                    let started = Instant::now();
-                    let mut guard = queue.tasks.lock().unwrap();
-                    while guard.0.len() >= ctx.config.max_inflight.max(1) {
-                        guard = queue.space.wait(guard).unwrap();
-                    }
-                    guard.0.push_back((req_id, payload, started));
-                    drop(guard);
-                    queue.ready.notify_one();
-                }
-                Err(e) => {
-                    let mut w = writer.lock().unwrap();
-                    answer_read_error(e, &mut *w);
-                    break;
-                }
-            }
-        }
-        // No more frames: let executors drain the queue and exit.
-        queue.tasks.lock().unwrap().1 = true;
-        queue.ready.notify_all();
-    });
-    let _ = writer.lock().unwrap().flush();
 }

@@ -7,10 +7,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use xse_service::fault::{Direction, FaultAction, FaultPlan, FaultProxy};
-use xse_service::loadgen::{self, Endpoint, LoadConfig};
+use xse_service::loadgen::{self, LoadConfig};
 use xse_service::{
-    Client, ClientConfig, EmbeddingRegistry, PipelinedClient, RegistryConfig, Request, Response,
-    RetryPolicy, RetryingClient, Server, ServerConfig, ServerHandle,
+    Client, ClientConfig, EmbeddingRegistry, RegistryConfig, Request, Response, RetryPolicy,
+    RetryingClient, Server, ServerConfig, ServerHandle,
 };
 use xse_workloads::traffic::TrafficMix;
 
@@ -173,29 +173,24 @@ fn chaos_soak_is_deterministic_and_never_misdecodes() {
     for round in 0..2 {
         let server = spawn_server();
         let proxy = FaultProxy::spawn(server.addr(), FaultPlan::standard(21)).unwrap();
-        let mut endpoint = Endpoint::Retry(
-            RetryingClient::new(
-                proxy.addr(),
-                chaos_client_config(),
-                RetryPolicy {
-                    max_attempts: 4,
-                    base_backoff: Duration::from_millis(2),
-                    max_backoff: Duration::from_millis(20),
-                    seed: 17,
-                },
-            )
-            .unwrap(),
-        );
         let summary = loadgen::run(
-            &mut endpoint,
+            proxy.addr(),
             &pairs,
             &LoadConfig {
                 mix: TrafficMix::mixed(),
                 ops: 120,
                 seed: 6,
-                cold: false,
+                client: chaos_client_config(),
+                retry: Some(RetryPolicy {
+                    max_attempts: 4,
+                    base_backoff: Duration::from_millis(2),
+                    max_backoff: Duration::from_millis(20),
+                    seed: 17,
+                }),
+                ..LoadConfig::default()
             },
-        );
+        )
+        .expect("the retrying prewarm converges");
         assert_eq!(
             summary.misinterpretations,
             0,
@@ -253,7 +248,7 @@ fn chaos_soak_is_deterministic_and_never_misdecodes() {
 /// Pipelined soak through the fault proxy: windows of in-flight requests
 /// cross a link that delays, resets, truncates and corrupts frames. A
 /// transport fault kills at most the current connection — the driver
-/// re-dials — and no response is ever matched to the wrong request or
+/// re-dials — and no answer is ever attributed to the wrong request or
 /// misdecoded as a wrong-kind success.
 #[test]
 fn pipelined_chaos_soak_never_misdecodes() {
@@ -276,11 +271,11 @@ fn pipelined_chaos_soak_never_misdecodes() {
 
     let mut completed = 0u64;
     let mut transport_failures = 0u64;
-    let mut client: Option<PipelinedClient> = None;
+    let mut client: Option<Client> = None;
     for round in 0..30 {
         let conn = match client.take() {
             Some(c) => c,
-            None => match PipelinedClient::connect_with(proxy.addr(), &chaos_client_config()) {
+            None => match Client::connect_with(proxy.addr(), &chaos_client_config()) {
                 Ok(c) => c,
                 Err(_) => {
                     transport_failures += 1;
@@ -308,11 +303,9 @@ fn pipelined_chaos_soak_never_misdecodes() {
             }
             match conn.recv() {
                 Ok((id, resp)) => {
-                    let req = ids
-                        .iter()
-                        .find(|(i, _)| *i == id)
-                        .map(|(_, r)| *r)
-                        .expect("recv only yields submitted ids");
+                    // recv yields the oldest outstanding id or an error.
+                    let (want, req) = ids.remove(0);
+                    assert_eq!(id, want, "round {round}: answers out of request order");
                     assert!(
                         loadgen::response_matches(req, &resp),
                         "round {round}: id {id} answered with wrong-kind {resp:?}"
@@ -334,7 +327,7 @@ fn pipelined_chaos_soak_never_misdecodes() {
     );
 
     // The server survived the soak: a direct pipelined connection works.
-    let mut direct = PipelinedClient::connect(server.addr()).unwrap();
+    let mut direct = Client::connect(server.addr()).unwrap();
     let responses = direct
         .call_pipelined(&[Request::Stats, Request::Stats], 2)
         .unwrap();

@@ -1,17 +1,18 @@
-//! Pipelining end-to-end: request-id correlation under shuffled response
-//! ordering, per-request error isolation mid-pipeline, out-of-order
-//! completion on the real server, and legacy/pipelined coexistence.
+//! Pipelining end-to-end: answers in request order, each on its own id;
+//! out-of-order or unknown ids rejected as protocol errors; per-request
+//! error isolation mid-pipeline; blocking and pipelining callers on one
+//! server; and the server's flush rule.
 
-use std::io::{BufReader, BufWriter, Write};
-use std::net::TcpListener;
+use std::io::{BufReader, BufWriter, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use xse_service::loadgen::{self, loadgen_discovery};
 use xse_service::proto::{read_frame, write_frame};
 use xse_service::{
-    Client, EmbeddingRegistry, ErrorCode, PipelinedClient, RegistryConfig, Request, Response,
-    Server, ServerConfig, ServerHandle,
+    Client, EmbeddingRegistry, ErrorCode, RegistryConfig, Request, Response, Server, ServerConfig,
+    ServerHandle, ServiceError,
 };
 
 fn wrap_pair() -> (String, String) {
@@ -21,7 +22,7 @@ fn wrap_pair() -> (String, String) {
     (s1.to_string(), s2.to_string())
 }
 
-fn spawn_server(workers: usize, executors: usize) -> ServerHandle {
+fn spawn_server(workers: usize) -> ServerHandle {
     Server::bind(
         ("127.0.0.1", 0),
         Arc::new(EmbeddingRegistry::new(RegistryConfig {
@@ -31,7 +32,6 @@ fn spawn_server(workers: usize, executors: usize) -> ServerHandle {
         })),
         ServerConfig {
             workers,
-            pipeline_executors: executors,
             ..ServerConfig::default()
         },
     )
@@ -39,9 +39,8 @@ fn spawn_server(workers: usize, executors: usize) -> ServerHandle {
 }
 
 /// A similarity hook that sleeps before delegating, making every compile
-/// take ≥ 150 ms of *blocked* (not compute-bound) time — so on any
-/// machine, however loaded, a concurrent executor gets the core and the
-/// fast requests provably finish inside the window.
+/// take ≥ 150 ms — long enough that the requests pipelined behind it are
+/// provably waiting while it runs.
 fn slow_sim(s: &xse_dtd::Dtd, t: &xse_dtd::Dtd) -> xse_core::SimilarityMatrix {
     std::thread::sleep(Duration::from_millis(150));
     xse_service::registry::default_similarity(s, t)
@@ -62,9 +61,9 @@ fn spawn_slow_compile_server(config: ServerConfig) -> ServerHandle {
 }
 
 /// A scripted stand-in server: accepts one connection, reads `n` request
-/// frames, then answers them in an arbitrary caller-chosen order with
-/// caller-chosen payloads. This pins the *client-side* pipelining
-/// contract without depending on real scheduling.
+/// frames, then answers them with caller-chosen ids and payloads, in a
+/// caller-chosen order. This pins the *client-side* pipelining contract
+/// without depending on real scheduling.
 fn scripted_peer(
     n: usize,
     respond: impl FnOnce(Vec<(u32, Vec<u8>)>) -> Vec<(u32, Response)> + Send + 'static,
@@ -87,11 +86,11 @@ fn scripted_peer(
     addr
 }
 
-/// Shuffled response ordering round-trips correctly: the scripted peer
-/// answers (3, 1, 2) for submissions (1, 2, 3), and a mid-pipeline
-/// `Timeout` error frame fails only its own request.
+/// Answers must come back in request order: a peer answering (3, 1, 2)
+/// for submissions (1, 2, 3) is caught at the first answer as a protocol
+/// violation, never misattributed.
 #[test]
-fn shuffled_responses_match_by_id_and_timeout_isolates() {
+fn shuffled_responses_are_a_protocol_error() {
     let addr = scripted_peer(3, |seen| {
         assert_eq!(
             seen.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
@@ -101,6 +100,30 @@ fn shuffled_responses_match_by_id_and_timeout_isolates() {
         vec![
             (3, Response::Stats(xse_service::proto::StatsWire::default())),
             (1, Response::Evicted { existed: false }),
+            (2, Response::Stats(xse_service::proto::StatsWire::default())),
+        ]
+    });
+
+    let mut client = Client::connect(addr).unwrap();
+    let ids: Vec<u32> = (0..3)
+        .map(|_| client.submit(&Request::Stats).unwrap())
+        .collect();
+    assert_eq!(ids, vec![1, 2, 3]);
+    assert_eq!(client.in_flight(), 3);
+    let err = client.recv().unwrap_err();
+    assert!(
+        matches!(&err, ServiceError::Protocol(m) if m.contains('3') && m.contains('1')),
+        "an answer overtaking its elders must be a protocol error: {err:?}"
+    );
+}
+
+/// A `Timeout` error frame mid-pipeline fails only its own request: the
+/// answers around it land on their own ids.
+#[test]
+fn mid_pipeline_timeout_frame_isolates_its_request() {
+    let addr = scripted_peer(3, |_| {
+        vec![
+            (1, Response::Evicted { existed: false }),
             (
                 2,
                 Response::Error {
@@ -108,46 +131,35 @@ fn shuffled_responses_match_by_id_and_timeout_isolates() {
                     message: "budget exceeded".into(),
                 },
             ),
+            (3, Response::Stats(xse_service::proto::StatsWire::default())),
         ]
     });
-
-    let mut client = PipelinedClient::connect(addr).unwrap();
+    let mut client = Client::connect(addr).unwrap();
     let (s, t) = wrap_pair();
     let reqs = [
         Request::Evict {
-            source_dtd: s.clone(),
-            target_dtd: t.clone(),
+            source_dtd: s,
+            target_dtd: t,
         },
         Request::Stats,
         Request::Stats,
     ];
-    let ids: Vec<u32> = reqs.iter().map(|r| client.submit(r).unwrap()).collect();
-    assert_eq!(ids, vec![1, 2, 3]);
-    assert_eq!(client.in_flight(), 3);
-
-    // Completion order is the peer's (3, 1, 2); each response lands on
-    // its own request, and the Timeout poisons only id 2.
-    let (id, resp) = client.recv().unwrap();
-    assert_eq!(id, 3);
-    assert!(matches!(resp, Response::Stats(_)), "{resp:?}");
-    let (id, resp) = client.recv().unwrap();
-    assert_eq!(id, 1);
+    let answers = client.call_pipelined(&reqs, 3).unwrap();
     assert!(
-        matches!(resp, Response::Evicted { existed: false }),
-        "{resp:?}"
+        matches!(answers[0], Response::Evicted { existed: false }),
+        "{answers:?}"
     );
-    let (id, resp) = client.recv().unwrap();
-    assert_eq!(id, 2);
     assert!(
         matches!(
-            resp,
+            answers[1],
             Response::Error {
                 code: ErrorCode::Timeout,
                 ..
             }
         ),
-        "{resp:?}"
+        "{answers:?}"
     );
+    assert!(matches!(answers[2], Response::Stats(_)), "{answers:?}");
     assert_eq!(client.in_flight(), 0);
 }
 
@@ -156,7 +168,7 @@ fn shuffled_responses_match_by_id_and_timeout_isolates() {
 #[test]
 fn unknown_response_id_is_a_protocol_error() {
     let addr = scripted_peer(1, |_| vec![(77, Response::Evicted { existed: true })]);
-    let mut client = PipelinedClient::connect(addr).unwrap();
+    let mut client = Client::connect(addr).unwrap();
     client.submit(&Request::Stats).unwrap();
     let err = client.recv().unwrap_err();
     assert!(
@@ -165,20 +177,18 @@ fn unknown_response_id_is_a_protocol_error() {
     );
 }
 
-/// Against the real server: eight requests in flight on one connection,
-/// every response matched to its request by id — and because the first
-/// request is a compile whose similarity hook *sleeps* 150 ms, the seven
-/// stats calls deterministically complete first: completion is
-/// out-of-order by construction, not by scheduling luck.
+/// Against the real server: eight requests in flight on one connection
+/// are answered in request order, each on its own id. The first request
+/// is a compile whose similarity hook *sleeps* 150 ms, so the seven
+/// stats calls behind it provably wait for it: it is answered first.
 #[test]
-fn eight_in_flight_complete_out_of_order_on_the_real_server() {
+fn eight_in_flight_are_answered_in_request_order() {
     let server = spawn_slow_compile_server(ServerConfig {
         workers: 1,
-        pipeline_executors: 4,
         ..ServerConfig::default()
     });
     let (s, t) = wrap_pair();
-    let mut client = PipelinedClient::connect(server.addr()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
     let compile_id = client
         .submit(&Request::Compile {
             source_dtd: s.clone(),
@@ -190,27 +200,19 @@ fn eight_in_flight_complete_out_of_order_on_the_real_server() {
         .collect();
     assert_eq!(client.in_flight(), 8);
 
-    let mut order = Vec::new();
-    for _ in 0..8 {
+    let (id, resp) = client.recv().unwrap();
+    assert_eq!(id, compile_id, "the sleeping compile is answered first");
+    assert!(matches!(resp, Response::Compiled { .. }), "{resp:?}");
+    for want in stats_ids {
         let (id, resp) = client.recv().unwrap();
-        if id == compile_id {
-            assert!(matches!(resp, Response::Compiled { .. }), "{resp:?}");
-        } else {
-            assert!(stats_ids.contains(&id), "unexpected id {id}");
-            assert!(matches!(resp, Response::Stats(_)), "{resp:?}");
-        }
-        order.push(id);
+        assert_eq!(id, want);
+        // Every stats call ran after the compile finished.
+        assert!(
+            matches!(resp, Response::Stats(w) if w.compiles == 1),
+            "{resp:?}"
+        );
     }
     assert_eq!(client.in_flight(), 0);
-    assert_eq!(
-        *order.last().unwrap(),
-        compile_id,
-        "the sleeping compile must finish after every stats call: {order:?}"
-    );
-    assert_ne!(
-        order[0], compile_id,
-        "completion stayed in submission order"
-    );
 }
 
 /// Real-server Timeout isolation: with a 40 ms request budget, the
@@ -221,12 +223,11 @@ fn eight_in_flight_complete_out_of_order_on_the_real_server() {
 fn mid_pipeline_timeout_fails_only_the_slow_request() {
     let server = spawn_slow_compile_server(ServerConfig {
         workers: 1,
-        pipeline_executors: 2,
         request_budget: Some(Duration::from_millis(40)),
         ..ServerConfig::default()
     });
     let (s, t) = wrap_pair();
-    let mut client = PipelinedClient::connect(server.addr()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
     let compile_id = client
         .submit(&Request::Compile {
             source_dtd: s.clone(),
@@ -237,26 +238,25 @@ fn mid_pipeline_timeout_fails_only_the_slow_request() {
         .map(|_| client.submit(&Request::Stats).unwrap())
         .collect();
 
-    for _ in 0..4 {
+    let (id, resp) = client.recv().unwrap();
+    assert_eq!(id, compile_id);
+    assert!(
+        matches!(
+            resp,
+            Response::Error {
+                code: ErrorCode::Timeout,
+                ..
+            }
+        ),
+        "the over-budget compile must time out: {resp:?}"
+    );
+    for want in stats_ids {
         let (id, resp) = client.recv().unwrap();
-        if id == compile_id {
-            assert!(
-                matches!(
-                    resp,
-                    Response::Error {
-                        code: ErrorCode::Timeout,
-                        ..
-                    }
-                ),
-                "the over-budget compile must time out: {resp:?}"
-            );
-        } else {
-            assert!(stats_ids.contains(&id), "unexpected id {id}");
-            assert!(
-                matches!(resp, Response::Stats(_)),
-                "a neighbor of the timed-out request failed: {resp:?}"
-            );
-        }
+        assert_eq!(id, want);
+        assert!(
+            matches!(resp, Response::Stats(_)),
+            "a neighbor of the timed-out request failed: {resp:?}"
+        );
     }
 
     // The timeout poisoned neither the connection nor the server.
@@ -269,9 +269,9 @@ fn mid_pipeline_timeout_fails_only_the_slow_request() {
 /// stays usable.
 #[test]
 fn mid_pipeline_bad_query_fails_only_its_own_request() {
-    let server = spawn_server(1, 2);
+    let server = spawn_server(1);
     let (s, t) = wrap_pair();
-    let mut client = PipelinedClient::connect(server.addr()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
 
     let reqs = vec![
         Request::Compile {
@@ -324,17 +324,17 @@ fn mid_pipeline_bad_query_fails_only_its_own_request() {
     assert!(matches!(more[0], Response::Stats(_)));
 }
 
-/// Compatibility: a legacy id-0 client and a pipelined client share the
-/// same server concurrently; each lane keeps its own semantics.
+/// A blocking caller (`call`) and a pipelining caller (`call_pipelined`)
+/// share one server, each on its own connection.
 #[test]
-fn legacy_and_pipelined_connections_coexist() {
-    let server = spawn_server(2, 2);
+fn blocking_and_pipelined_callers_share_one_server() {
+    let server = spawn_server(2);
     let (s, t) = wrap_pair();
 
-    let mut legacy = Client::connect(server.addr()).unwrap();
-    let mut piped = PipelinedClient::connect(server.addr()).unwrap();
+    let mut blocking = Client::connect(server.addr()).unwrap();
+    let mut piped = Client::connect(server.addr()).unwrap();
 
-    let (sh, th, _) = legacy.compile(&s, &t).unwrap();
+    let (sh, th, _) = blocking.compile(&s, &t).unwrap();
     assert_ne!(sh, th);
 
     let responses = piped
@@ -342,18 +342,18 @@ fn legacy_and_pipelined_connections_coexist() {
         .unwrap();
     assert!(responses.iter().all(|r| matches!(r, Response::Stats(_))));
 
-    // Legacy lane still strictly in-order after the pipelined traffic.
-    let stats = legacy.stats().unwrap();
+    // The blocking caller is unaffected by the pipelined traffic.
+    let stats = blocking.stats().unwrap();
     assert_eq!(stats.compiles, 1);
 }
 
 /// Windowed pipelining against the real server round-trips a full
-/// traffic slice in request order, whatever the completion order was.
+/// traffic slice in request order.
 #[test]
 fn call_pipelined_preserves_request_order_across_windows() {
-    let server = spawn_server(1, 4);
+    let server = spawn_server(1);
     let pairs = loadgen::build_pairs(2, 11);
-    let mut client = PipelinedClient::connect(server.addr()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
 
     let mut reqs = Vec::new();
     for p in &pairs {
@@ -382,4 +382,59 @@ fn call_pipelined_preserves_request_order_across_windows() {
             "clean traffic must not error: {resp:?}"
         );
     }
+}
+
+/// The flush rule: the server holds an answer back only while the next
+/// frame is already whole in its read buffer. A peer that sends frame 1
+/// plus just the header of frame 2 must get answer 1 at once — not after
+/// the server's read deadline gives up on frame 2.
+#[test]
+fn answer_is_flushed_while_the_next_frame_is_partial() {
+    let read_deadline = Duration::from_secs(3);
+    let server = Server::bind(
+        ("127.0.0.1", 0),
+        Arc::new(EmbeddingRegistry::new(RegistryConfig::default())),
+        ServerConfig {
+            workers: 1,
+            read_timeout: Some(read_deadline),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    let mut burst = Vec::new();
+    write_frame(&mut burst, 1, &Request::Stats.encode()).unwrap();
+    // Frame 2 announces a 16-byte payload that never comes.
+    burst.extend_from_slice(&16u32.to_be_bytes());
+    burst.extend_from_slice(&2u32.to_be_bytes());
+    raw.write_all(&burst).unwrap();
+
+    raw.set_read_timeout(Some(read_deadline / 2)).unwrap();
+    let t0 = Instant::now();
+    let (id, payload) = read_frame(&mut raw).expect("answer 1 before the read deadline");
+    let waited = t0.elapsed();
+    assert_eq!(id, 1);
+    assert!(matches!(
+        Response::decode(&payload),
+        Some(Response::Stats(_))
+    ));
+    assert!(
+        waited < read_deadline / 4,
+        "answer 1 took {waited:?}; it waited on frame 2"
+    );
+    // Frame 2 stays incomplete: the server answers the stall (id 0,
+    // connection-level) at its deadline and closes.
+    raw.set_read_timeout(Some(2 * read_deadline)).unwrap();
+    let (id, payload) = read_frame(&mut raw).unwrap();
+    assert_eq!(id, 0);
+    assert!(matches!(
+        Response::decode(&payload),
+        Some(Response::Error {
+            code: ErrorCode::Timeout,
+            ..
+        })
+    ));
+    let mut rest = Vec::new();
+    raw.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty());
 }

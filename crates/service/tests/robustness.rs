@@ -1,5 +1,5 @@
 //! Serving-layer robustness: deadlines, load shedding, graceful drain,
-//! and client retry behaviour against a real server.
+//! poisonous requests, and client retry behaviour against a real server.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -9,8 +9,8 @@ use std::time::{Duration, Instant};
 use xse_service::loadgen;
 use xse_service::proto::ErrorCode;
 use xse_service::{
-    Client, ClientConfig, EmbeddingRegistry, RegistryConfig, RetryPolicy, RetryingClient, Server,
-    ServerConfig, ServerHandle, ServiceError,
+    Client, ClientConfig, EmbeddingRegistry, RegistryConfig, Request, Response, RetryPolicy,
+    RetryingClient, Server, ServerConfig, ServerHandle, ServiceError,
 };
 
 fn wrap_pair() -> (String, String) {
@@ -88,7 +88,7 @@ fn idle_connection_expires_silently() {
     // Don't send anything else; the server should close cleanly (EOF at a
     // frame boundary → ServiceError::Closed), not send an error frame.
     std::thread::sleep(Duration::from_millis(400));
-    let err = client.read_response().unwrap_err();
+    let err = client.recv().unwrap_err();
     assert!(
         matches!(err, ServiceError::Closed),
         "expected clean close, got {err:?}"
@@ -215,5 +215,92 @@ fn connect_failure_is_typed_and_bounded() {
     match result {
         Err(ServiceError::Timeout(_) | ServiceError::Io(_)) => {}
         other => panic!("expected a typed connect failure, got {:?}", other.err()),
+    }
+}
+
+/// A source DTD declaring an element unreachable from the root has no
+/// embedding as written; the registry must compile its reduced form, and
+/// no such request may cost a worker. A 2-worker server answers 100 of
+/// them, on fresh connections, and then a good request.
+#[test]
+fn two_workers_survive_a_hundred_poison_compiles() {
+    let server = spawn_with(ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    });
+    let target = "<!ELEMENT r (a)> <!ELEMENT a (#PCDATA)>";
+    for i in 0..100 {
+        let mut client = Client::connect(server.addr()).unwrap();
+        // A fresh unreachable name per request defeats the text memo, so
+        // every request parses and reduces its own poison text.
+        let poison = format!("{target} <!ELEMENT z{i} (#PCDATA)>");
+        let resp = client
+            .call(&Request::Compile {
+                source_dtd: poison,
+                target_dtd: target.into(),
+            })
+            .unwrap_or_else(|e| panic!("poison request {i} got no answer: {e}"));
+        assert!(matches!(resp, Response::Compiled { .. }), "{resp:?}");
+    }
+    let (s, t) = wrap_pair();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let (sh, th, _) = client.compile(&s, &t).unwrap();
+    assert_ne!(sh, th);
+}
+
+/// A similarity hook that panics for sources with a `boom` element.
+fn panicking_sim(s: &xse_dtd::Dtd, t: &xse_dtd::Dtd) -> xse_core::SimilarityMatrix {
+    assert!(s.type_id("boom").is_none(), "similarity hook hit a bomb");
+    xse_service::registry::default_similarity(s, t)
+}
+
+/// A panic while handling a request is answered with an `EngineError`
+/// frame on that request's id; the connection and both workers live on.
+#[test]
+fn handler_panic_is_an_engine_error_and_the_worker_lives() {
+    let registry = Arc::new(EmbeddingRegistry::new(RegistryConfig {
+        capacity: 8,
+        discovery: loadgen::loadgen_discovery(),
+        sim: panicking_sim,
+        ..RegistryConfig::default()
+    }));
+    let server = Server::bind(
+        ("127.0.0.1", 0),
+        registry,
+        ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let bomb = "<!ELEMENT r (boom)> <!ELEMENT boom (#PCDATA)>";
+    let mut clients: Vec<Client> = (0..2)
+        .map(|_| Client::connect(server.addr()).unwrap())
+        .collect();
+    for client in &mut clients {
+        for _ in 0..2 {
+            let resp = client
+                .call(&Request::Compile {
+                    source_dtd: bomb.into(),
+                    target_dtd: bomb.into(),
+                })
+                .unwrap();
+            assert!(
+                matches!(
+                    &resp,
+                    Response::Error {
+                        code: ErrorCode::EngineError,
+                        message,
+                    } if message.contains("panicked")
+                ),
+                "{resp:?}"
+            );
+        }
+    }
+    // Same connections, good requests: both workers are still serving.
+    let (s, t) = wrap_pair();
+    for client in &mut clients {
+        let (sh, th, _) = client.compile(&s, &t).unwrap();
+        assert_ne!(sh, th);
     }
 }

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use xse_dtd::{GenConfig, InstanceGenerator};
-use xse_service::loadgen::{self, Endpoint, LoadConfig};
+use xse_service::loadgen::{self, LoadConfig};
 use xse_service::proto::{op, read_frame, write_frame};
 use xse_service::{
     Client, EmbeddingRegistry, ErrorCode, RegistryConfig, Request, Response, Server, ServerConfig,
@@ -103,7 +103,7 @@ fn oversized_frame_gets_error_then_close_and_server_survives() {
     // Announce a payload over the 16 MiB cap; send no body.
     raw.write_all(&(xse_service::MAX_FRAME_LEN as u32 + 1).to_be_bytes())
         .unwrap();
-    raw.write_all(&0u32.to_be_bytes()).unwrap(); // request id
+    raw.write_all(&1u32.to_be_bytes()).unwrap(); // request id
     raw.flush().unwrap();
     let (id, payload) = read_frame(&mut raw).expect("structured error response");
     assert_eq!(id, 0, "connection-level errors carry id 0");
@@ -133,12 +133,15 @@ fn truncated_payload_gets_malformed_and_connection_stays_usable() {
     let server = spawn_server(8);
     let mut raw = TcpStream::connect(server.addr()).unwrap();
     // A COMPILE whose string field announces 100 bytes but carries 3: the
-    // frame itself is complete, so only the request is poisoned.
+    // frame itself is complete, so only the request is poisoned — and
+    // its error is answered on the request's own id.
     let mut payload = vec![op::COMPILE];
     payload.extend_from_slice(&100u32.to_be_bytes());
     payload.extend_from_slice(b"abc");
-    write_frame(&mut raw, 0, &payload).unwrap();
-    let resp = Response::decode(&read_frame(&mut raw).unwrap().1).unwrap();
+    write_frame(&mut raw, 1, &payload).unwrap();
+    let (id, payload) = read_frame(&mut raw).unwrap();
+    assert_eq!(id, 1);
+    let resp = Response::decode(&payload).unwrap();
     assert!(
         matches!(
             resp,
@@ -155,8 +158,10 @@ fn truncated_payload_gets_malformed_and_connection_stays_usable() {
         source_dtd: s,
         target_dtd: t,
     };
-    write_frame(&mut raw, 0, &req.encode()).unwrap();
-    let resp = Response::decode(&read_frame(&mut raw).unwrap().1).unwrap();
+    write_frame(&mut raw, 2, &req.encode()).unwrap();
+    let (id, payload) = read_frame(&mut raw).unwrap();
+    assert_eq!(id, 2);
+    let resp = Response::decode(&payload).unwrap();
     assert!(matches!(resp, Response::Compiled { .. }), "{resp:?}");
 }
 
@@ -164,7 +169,7 @@ fn truncated_payload_gets_malformed_and_connection_stays_usable() {
 fn unknown_opcode_and_bad_dtd_are_structured_errors() {
     let server = spawn_server(8);
     let mut raw = TcpStream::connect(server.addr()).unwrap();
-    write_frame(&mut raw, 0, &[0x7E]).unwrap();
+    write_frame(&mut raw, 1, &[0x7E]).unwrap();
     let resp = Response::decode(&read_frame(&mut raw).unwrap().1).unwrap();
     assert!(
         matches!(
@@ -324,26 +329,31 @@ fn warm_cache_p50_at_least_10x_better_than_cold() {
     let pairs = loadgen::build_pairs(8, 42);
     assert!(pairs.len() >= 8);
 
+    let warm_server = spawn_server(64);
     let warm = loadgen::run(
-        &mut Endpoint::InProcess(test_registry(64)),
+        warm_server.addr(),
         &pairs,
         &LoadConfig {
             mix: TrafficMix::translate_heavy(),
             ops: 300,
             seed: 42,
-            cold: false,
+            ..LoadConfig::default()
         },
-    );
+    )
+    .unwrap();
+    let cold_server = spawn_server(64);
     let cold = loadgen::run(
-        &mut Endpoint::InProcess(test_registry(64)),
+        cold_server.addr(),
         &pairs,
         &LoadConfig {
             mix: TrafficMix::translate_heavy(),
             ops: 40,
             seed: 42,
             cold: true,
+            ..LoadConfig::default()
         },
-    );
+    )
+    .unwrap();
     assert_eq!(warm.protocol_errors + cold.protocol_errors, 0);
     assert_eq!(warm.op_errors + cold.op_errors, 0, "{}", warm.to_json());
     let warm_p50 = warm.overall_digest.expect("warm ops ran").p50_nanos;

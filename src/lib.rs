@@ -170,7 +170,7 @@
 //! length-prefixed binary protocol (documented in [`service`]), and the
 //! `xse-loadgen` binary replays
 //! [`TrafficMix`](crate::workloads::traffic::TrafficMix) workloads against
-//! either endpoint, reporting per-op latency percentiles, QPS and cache
+//! a server over TCP, reporting per-op latency percentiles, QPS and cache
 //! hit rates:
 //!
 //! ```
@@ -188,14 +188,13 @@
 //! assert!(engine.apply(&parse_xml("<r><a>x</a></r>").unwrap()).is_ok());
 //! ```
 //!
-//! Every frame carries a u32 *request id*: id 0 is the legacy strictly
-//! in-order lane ([`Client`](crate::service::Client)), while a nonzero
-//! id opts the connection into pipelining —
-//! [`PipelinedClient`](crate::service::PipelinedClient) keeps a window
-//! of requests in flight and the server completes them out of order,
-//! matching responses to requests by id alone. `xse-loadgen
-//! --connections N --inflight K` measures the contended path
-//! (see `EXPERIMENTS.md`):
+//! Every frame carries a u32 *request id*. The
+//! [`Client`](crate::service::Client) sends each request on a fresh
+//! nonzero id and the server answers each connection in request order,
+//! so a client may pipeline: [`submit`](crate::service::Client::submit)
+//! several requests, then [`recv`](crate::service::Client::recv) their
+//! answers in the same order. `xse-loadgen --connections N --inflight K`
+//! measures the contended path (see `EXPERIMENTS.md`):
 //!
 //! ```
 //! use std::sync::Arc;
@@ -205,23 +204,21 @@
 //! let registry = Arc::new(EmbeddingRegistry::new(RegistryConfig::default()));
 //! let server = Server::bind(("127.0.0.1", 0), registry, ServerConfig::default()).unwrap();
 //!
-//! let mut client = PipelinedClient::connect(server.addr()).unwrap();
+//! let mut client = Client::connect(server.addr()).unwrap();
 //! let source = "<!ELEMENT r (a)>\n<!ELEMENT a (#PCDATA)>";
-//! // Two requests on the wire before either response is read.
+//! // Two requests on the wire before either answer is read.
 //! let first = client
 //!     .submit(&Request::Compile { source_dtd: source.into(), target_dtd: source.into() })
 //!     .unwrap();
 //! let second = client.submit(&Request::Stats).unwrap();
 //! assert_eq!(client.in_flight(), 2);
-//! // Responses are matched to requests by id, whatever order they land in.
-//! for _ in 0..2 {
-//!     let (id, resp) = client.recv().unwrap();
-//!     match resp {
-//!         Response::Compiled { .. } => assert_eq!(id, first),
-//!         Response::Stats(_) => assert_eq!(id, second),
-//!         other => panic!("unexpected {other:?}"),
-//!     }
-//! }
+//! // Answers arrive in request order, each on its request's id.
+//! let (id, resp) = client.recv().unwrap();
+//! assert_eq!(id, first);
+//! assert!(matches!(resp, Response::Compiled { .. }));
+//! let (id, resp) = client.recv().unwrap();
+//! assert_eq!(id, second);
+//! assert!(matches!(resp, Response::Stats(s) if s.compiles == 1));
 //! assert_eq!(client.in_flight(), 0);
 //! ```
 //!
@@ -303,9 +300,7 @@ pub use xse_xslt as xslt;
 ///
 /// The surface is panic-free by construction: embeddings are assembled with
 /// the fallible [`EmbeddingBuilder`](xse_core::EmbeddingBuilder) and every
-/// failure is an [`EmbeddingError`](xse_core::EmbeddingError). (The
-/// deprecated lifetime-bound `Embedding` shim is intentionally *not* here;
-/// reach it as `xse::core::Embedding` during migration.)
+/// failure is an [`EmbeddingError`](xse_core::EmbeddingError).
 pub mod prelude {
     pub use xse_anfa::EvalScratch;
     pub use xse_core::{
@@ -318,8 +313,8 @@ pub mod prelude {
     pub use xse_dtd::{Dtd, Production, TypeId};
     pub use xse_rxpath::{parse_query, XrQuery};
     pub use xse_service::{
-        Client, ClientConfig, EmbeddingRegistry, PipelinedClient, RegistryConfig, RetryPolicy,
-        RetryingClient, Server, ServerConfig,
+        Client, ClientConfig, EmbeddingRegistry, RegistryConfig, RetryPolicy, RetryingClient,
+        Server, ServerConfig,
     };
     pub use xse_xmltree::{parse_xml, IdMap, NodeId, TreeBuilder, XmlTree};
     pub use xse_xslt::{generate_forward, generate_inverse, Stylesheet, StylesheetGen};
